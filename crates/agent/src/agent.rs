@@ -472,13 +472,11 @@ impl<T: Transport> FlexranAgent<T> {
                 }),
             );
         }
-        // lint:allow(alloc-reach) report composition — interval/trigger-driven
-        for (xid, reply) in self.reports.due(tti, &self.enb) {
-            let _ = self
-                .transport
-                // lint:allow(alloc-reach) wire frame growth is pooled; reply rides the report interval
-                .send(Header::with_xid(xid), &FlexranMessage::StatsReply(reply));
-        }
+        let transport = &mut self.transport;
+        self.reports.due(tti, &self.enb, |xid, reply| {
+            // lint:allow(alloc-reach) wire frame growth is pooled; reply rides the report interval
+            let _ = transport.send(Header::with_xid(xid), reply);
+        });
         for ack in std::mem::take(&mut self.outbox_acks) {
             // lint:allow(alloc-reach) ack send — command-driven
             let _ = self.transport.send(

@@ -10,7 +10,7 @@
 //!   is a change in the contents of the requested report".
 
 use flexran_proto::messages::stats::{ReportConfig, ReportType, StatsReply, UeReport};
-use flexran_proto::messages::CellReport;
+use flexran_proto::messages::{CellReport, FlexranMessage};
 use flexran_proto::wire::WireWriter;
 use flexran_stack::enb::Enb;
 use flexran_types::time::Tti;
@@ -27,9 +27,8 @@ struct Subscription {
 /// Registered statistics subscriptions for one agent.
 ///
 /// The tick path is delta-aware and allocation-free in steady state: the
-/// candidate reply and the hash encoding live in reusable buffers, and
-/// heap traffic only happens when a report actually fires (the reply is
-/// handed to the caller by `mem::take`).
+/// candidate reply and the hash encoding live in reusable buffers, and a
+/// report that fires is lent to the caller, not moved out.
 #[derive(Debug, Default)]
 pub struct ReportsManager {
     subs: Vec<Subscription>,
@@ -132,50 +131,41 @@ impl ReportsManager {
         self.subs.iter().filter(|s| !s.done).count()
     }
 
-    /// Replies due at `tti`, with the xid to reply under.
+    /// Compose the replies due at `tti` and lend each to `fire` together
+    /// with the xid to reply under, wrapped as the message to send.
     ///
-    /// Candidate replies are composed into the manager's reusable buffer;
-    /// only a reply that actually fires is moved out (`mem::take`), so a
-    /// quiet tick — the steady state of a triggered subscription — does
-    /// not touch the heap.
-    pub fn due(&mut self, tti: Tti, enb: &Enb) -> Vec<(u32, StatsReply)> {
-        // lint:allow(alloc-reach) populated only when a report fires — interval-driven
-        let mut out = Vec::new();
+    /// Every reply is composed into the manager's reusable buffer, which
+    /// `fire` only borrows — so neither a quiet tick (the steady state of
+    /// a triggered subscription) nor a per-TTI periodic report touches
+    /// the heap.
+    pub fn due(&mut self, tti: Tti, enb: &Enb, mut fire: impl FnMut(u32, &FlexranMessage)) {
         for sub in &mut self.subs {
-            if sub.done {
-                continue;
+            let report_type = sub.config.report_type;
+            if let (ReportType::Periodic { period }, Some(last)) = (report_type, sub.last_sent) {
+                if tti.saturating_since(last) < period as u64 {
+                    continue;
+                }
             }
-            match sub.config.report_type {
-                ReportType::OneOff => {
-                    compose_reply_into(enb, tti, sub.config, &mut self.reply_buf);
-                    out.push((sub.xid, std::mem::take(&mut self.reply_buf)));
-                    sub.done = true;
+            compose_reply_into(enb, tti, sub.config, &mut self.reply_buf);
+            if report_type == ReportType::Triggered {
+                let h = content_hash(&mut self.reply_buf, &mut self.hash_buf);
+                if h == sub.last_hash {
+                    continue;
                 }
-                ReportType::Periodic { period } => {
-                    let due = match sub.last_sent {
-                        None => true,
-                        Some(last) => tti.saturating_since(last) >= period as u64,
-                    };
-                    if due {
-                        compose_reply_into(enb, tti, sub.config, &mut self.reply_buf);
-                        out.push((sub.xid, std::mem::take(&mut self.reply_buf)));
-                        sub.last_sent = Some(tti);
-                    }
-                }
-                ReportType::Triggered => {
-                    compose_reply_into(enb, tti, sub.config, &mut self.reply_buf);
-                    let h = content_hash(&mut self.reply_buf, &mut self.hash_buf);
-                    if h != sub.last_hash {
-                        sub.last_hash = h;
-                        sub.last_sent = Some(tti);
-                        out.push((sub.xid, std::mem::take(&mut self.reply_buf)));
-                    }
-                }
+                sub.last_hash = h;
+            }
+            sub.done = report_type == ReportType::OneOff;
+            sub.last_sent = Some(tti);
+            let msg = FlexranMessage::StatsReply(std::mem::take(&mut self.reply_buf));
+            // The closure body is analyzed at its definition site
+            // (closures-as-edges), not through this `FnMut`. lint:alloc-free-callee
+            fire(sub.xid, &msg);
+            if let FlexranMessage::StatsReply(reply) = msg {
+                self.reply_buf = reply;
             }
         }
         // Drop completed one-offs.
         self.subs.retain(|s| !s.done);
-        out
     }
 }
 
@@ -202,6 +192,16 @@ mod tests {
         e
     }
 
+    /// Number of replies firing at `tti`.
+    fn fired(m: &mut ReportsManager, tti: u64, enb: &Enb) -> usize {
+        let mut n = 0;
+        m.due(Tti(tti), enb, |_, msg| {
+            assert_eq!(msg.kind(), "stats-reply");
+            n += 1;
+        });
+        n
+    }
+
     fn all_config(rt: ReportType) -> ReportConfig {
         ReportConfig {
             report_type: rt,
@@ -214,8 +214,8 @@ mod tests {
         let enb = enb_with_ue();
         let mut m = ReportsManager::new();
         m.register(1, all_config(ReportType::OneOff));
-        assert_eq!(m.due(Tti(0), &enb).len(), 1);
-        assert_eq!(m.due(Tti(1), &enb).len(), 0);
+        assert_eq!(fired(&mut m, 0, &enb), 1);
+        assert_eq!(fired(&mut m, 1, &enb), 0);
         assert_eq!(m.n_subscriptions(), 0);
     }
 
@@ -226,10 +226,10 @@ mod tests {
         m.register(2, all_config(ReportType::Periodic { period: 5 }));
         let mut sent = Vec::new();
         for t in 0..20 {
-            for (xid, _) in m.due(Tti(t), &enb) {
+            m.due(Tti(t), &enb, |xid, _| {
                 assert_eq!(xid, 2);
                 sent.push(t);
-            }
+            });
         }
         assert_eq!(sent, vec![0, 5, 10, 15]);
     }
@@ -240,10 +240,10 @@ mod tests {
         let mut m = ReportsManager::new();
         m.register(3, all_config(ReportType::Triggered));
         // First report always fires (hash 0 → real hash).
-        assert_eq!(m.due(Tti(0), &enb).len(), 1);
+        assert_eq!(fired(&mut m, 0, &enb), 1);
         // Nothing changed.
-        assert_eq!(m.due(Tti(1), &enb).len(), 0);
-        assert_eq!(m.due(Tti(2), &enb).len(), 0);
+        assert_eq!(fired(&mut m, 1, &enb), 0);
+        assert_eq!(fired(&mut m, 2, &enb), 0);
         // Change the queue: fires again.
         enb.inject_dl_traffic(
             flexran_types::ids::CellId(0),
@@ -252,8 +252,8 @@ mod tests {
             Tti(3),
         )
         .unwrap();
-        assert_eq!(m.due(Tti(3), &enb).len(), 1);
-        assert_eq!(m.due(Tti(4), &enb).len(), 0);
+        assert_eq!(fired(&mut m, 3, &enb), 1);
+        assert_eq!(fired(&mut m, 4, &enb), 0);
     }
 
     #[test]
@@ -280,8 +280,8 @@ mod tests {
         m.register(5, all_config(ReportType::Periodic { period: 1 }));
         m.register(5, all_config(ReportType::Periodic { period: 100 }));
         assert_eq!(m.n_subscriptions(), 1);
-        assert_eq!(m.due(Tti(0), &enb).len(), 1);
-        assert_eq!(m.due(Tti(1), &enb).len(), 0, "period replaced");
+        assert_eq!(fired(&mut m, 0, &enb), 1);
+        assert_eq!(fired(&mut m, 1, &enb), 0, "period replaced");
         m.cancel(5);
         assert_eq!(m.n_subscriptions(), 0);
         let mut phy = StaticPhyView(10.0);

@@ -94,7 +94,7 @@ pub fn ul_scheduler_input_from_rib(cell: &CellNode, now: Tti, target: Tti) -> Ul
         .iter()
         .filter(|u| u.report.connected)
         .map(|u| {
-            let bsr_idx = u.report.bsr.first().copied().unwrap_or(0) as u8;
+            let bsr_idx = u.report.bsr.first().copied().unwrap_or(0);
             UlUeInfo {
                 rnti: u.rnti,
                 bsr_bytes: Bytes(flexran_stack::mac::bsr::bsr_upper_edge_bytes(bsr_idx)),
@@ -273,7 +273,7 @@ mod tests {
                 wideband_cqi: 9,
                 slice: 1,
                 priority_group: 1,
-                rlc: vec![
+                rlc: [
                     RlcReport {
                         lcid: 1,
                         tx_queue_bytes: 60,
@@ -285,7 +285,8 @@ mod tests {
                         hol_delay_ms: 12,
                         ..Default::default()
                     },
-                ],
+                ]
+                .into(),
                 ..Default::default()
             },
             ..Default::default()
@@ -339,11 +340,12 @@ mod tests {
                         cell: 0,
                         connected: true,
                         wideband_cqi: 12,
-                        rlc: vec![RlcReport {
+                        rlc: [RlcReport {
                             lcid: 3,
                             tx_queue_bytes: 100_000,
                             ..Default::default()
-                        }],
+                        }]
+                        .into(),
                         ..Default::default()
                     }],
                 }),
@@ -409,11 +411,12 @@ mod tests {
                     rnti: 0x100,
                     connected: true,
                     wideband_cqi: 12,
-                    rlc: vec![RlcReport {
+                    rlc: [RlcReport {
                         lcid: 3,
                         tx_queue_bytes: 100_000,
                         ..Default::default()
-                    }],
+                    }]
+                    .into(),
                     ..Default::default()
                 },
                 ..Default::default()

@@ -2,10 +2,12 @@
 //!
 //! * `vsf_swap` — the paper's headline delegation number (~103 ns per
 //!   runtime scheduler swap, §5.4).
-//! * `proto/*` — FlexRAN protocol encode/decode of the worst-case
-//!   statistics report (what the Fig. 7 load consists of).
+//! * `proto_*` — FlexRAN protocol encode/decode of the worst-case
+//!   statistics report (what the Fig. 7 load consists of), at 16 UEs
+//!   (the `central_ctrl` benchmark cell, into a kept writer) and 50 UEs.
 //! * `rib_update` — one full stats report applied by the single-writer
 //!   RIB updater (the Fig. 8 core-components cost).
+//! * `journal_delta` — the same report appended to the RIB journal.
 //! * `scheduler/*` — one TTI of downlink scheduling at 50 UEs.
 //! * `sim_tti` — one whole harness TTI (master cycle + agent phases +
 //!   data plane) with 10 UEs.
@@ -15,12 +17,13 @@ use std::hint::black_box;
 
 use flexran::agent::vsf::{VsfImpl, VsfSlot};
 use flexran::agent::{AgentConfig, VsfRegistry};
-use flexran::controller::{Rib, RibUpdater};
+use flexran::controller::{Rib, RibJournal, RibUpdater};
 use flexran::harness::{SimConfig, SimHarness, UeRadioSpec};
 use flexran::phy::link_adaptation::Cqi;
 use flexran::prelude::*;
 use flexran::proto::messages::stats::{ReportFlags, StatsReply, UeReport};
-use flexran::proto::messages::{FlexranMessage, Header};
+use flexran::proto::messages::{FlexranMessage, Header, Hello};
+use flexran::proto::wire::WireWriter;
 use flexran::sim::traffic::CbrSource;
 use flexran::stack::mac::scheduler::{
     DlScheduler, DlSchedulerInput, ProportionalFairScheduler, RoundRobinScheduler, UeSchedInfo,
@@ -85,24 +88,46 @@ fn bench_vsf_swap(c: &mut Criterion) {
 }
 
 fn bench_proto(c: &mut Criterion) {
-    let reply = worst_case_reply(50);
-    let msg = FlexranMessage::StatsReply(reply);
-    c.bench_function("proto_encode_stats_50ues", |b| {
-        b.iter(|| black_box(msg.encode(Header::with_xid(1))))
-    });
-    let bytes = msg.encode(Header::with_xid(1));
-    c.bench_function("proto_decode_stats_50ues", |b| {
-        b.iter(|| black_box(FlexranMessage::decode(&bytes).unwrap()))
-    });
+    let mut w = WireWriter::new();
+    for n_ues in [16, 50] {
+        let msg = FlexranMessage::StatsReply(worst_case_reply(n_ues));
+        c.bench_function(&format!("proto_encode_stats_{n_ues}ues"), |b| {
+            b.iter(|| black_box(&msg).encode_into(Header::with_xid(1), &mut w))
+        });
+        let bytes = msg.encode(Header::with_xid(1));
+        c.bench_function(&format!("proto_decode_stats_{n_ues}ues"), |b| {
+            b.iter(|| black_box(FlexranMessage::decode(&bytes).unwrap()))
+        });
+    }
 }
 
 fn bench_rib_update(c: &mut Criterion) {
     let mut rib = Rib::new();
     let mut updater = RibUpdater::new();
+    // The updater rejects reports for cells the agent never declared.
+    let hello = FlexranMessage::Hello(Hello {
+        enb_id: EnbId(1),
+        n_cells: 1,
+        capabilities: Vec::new(),
+        applied_config: 0,
+    });
+    updater.apply(&mut rib, EnbId(1), &hello, Tti(0));
     let msg = FlexranMessage::StatsReply(worst_case_reply(16));
     c.bench_function("rib_update_16ues", |b| {
         b.iter(|| {
             black_box(updater.apply(&mut rib, EnbId(1), &msg, Tti(1)));
+        })
+    });
+    assert_eq!(updater.rejected_updates, 0);
+    let mut journal = RibJournal::new(1_000);
+    let mut appended = 0u64;
+    c.bench_function("journal_delta_16ues", |b| {
+        b.iter(|| {
+            journal.record_delta(EnbId(1), Tti(1), black_box(&msg));
+            appended += 1;
+            if appended.is_multiple_of(1_000) {
+                journal.compact(&rib); // what a running master does
+            }
         })
     });
 }

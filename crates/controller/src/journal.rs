@@ -53,6 +53,7 @@ use flexran_proto::messages::stats::StatsReply;
 use flexran_proto::messages::{
     ConfigReply, EventNotification, FlexranMessage, Header, Hello, SubframeTrigger,
 };
+use flexran_proto::wire::WireWriter;
 use flexran_types::ids::EnbId;
 use flexran_types::time::Tti;
 use flexran_types::{FlexError, Result};
@@ -96,13 +97,23 @@ pub struct RibJournal {
     compactions: u64,
 }
 
+/// Append one record to a section. The envelope is encoded in place,
+/// straight behind the record header (the section lends its buffer to a
+/// writer for the duration), and the length is patched in afterwards —
+/// no intermediate buffer, no copy.
 fn append_record(buf: &mut Vec<u8>, tag: u8, enb: EnbId, tti: Tti, msg: &FlexranMessage) {
-    let payload = msg.encode(Header::default());
     buf.push(tag);
     buf.extend_from_slice(&enb.0.to_be_bytes());
     buf.extend_from_slice(&tti.0.to_be_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&payload);
+    let len_pos = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    let mut w = WireWriter::from_vec(std::mem::take(buf));
+    msg.encode_append(Header::default(), &mut w);
+    *buf = w.into_vec();
+    let payload_len = (buf.len() - len_pos - 4) as u32;
+    if let Some(slot) = buf.get_mut(len_pos..len_pos + 4) {
+        slot.copy_from_slice(&payload_len.to_be_bytes());
+    }
 }
 
 /// Panic-free cursor over a record section.
@@ -581,7 +592,7 @@ mod tests {
                     cell: 0,
                     connected: true,
                     wideband_cqi: 11,
-                    subband_cqi: vec![9, 10, 11],
+                    subband_cqi: [9, 10, 11].into(),
                     ..UeReport::default()
                 }],
             }),

@@ -451,19 +451,9 @@ impl Rib {
                 .sum::<usize>();
             for c in a.cells() {
                 total += std::mem::size_of::<CellNode>();
-                for u in c.ues() {
-                    total += std::mem::size_of::<UeNode>();
-                    // Vec payloads inside the raw report.
-                    total += u.report.subband_cqi.capacity() * 8;
-                    total += u.report.subband_cqi_cw1.capacity() * 8;
-                    total += u.report.bsr.capacity() * 8;
-                    total += u.report.harq_states.capacity() * 8;
-                    total += u.report.harq_rounds.capacity() * 8;
-                    total += u.report.tbs_per_process.capacity() * 8;
-                    total += u.report.ul_subband_sinr.capacity() * 8;
-                    total += u.report.rlc.capacity()
-                        * std::mem::size_of::<flexran_proto::messages::stats::RlcReport>();
-                }
+                // A report holds its arrays inline, so the leaf's size
+                // is its whole footprint.
+                total += c.n_ues() * std::mem::size_of::<UeNode>();
             }
         }
         total
@@ -507,7 +497,7 @@ mod tests {
                 rnti: Rnti(0x100 + i),
                 ..Default::default()
             };
-            node.report.subband_cqi = vec![9; 13];
+            node.report.subband_cqi = [9; 13].into();
             cell.insert_ue(node);
         }
         assert!(rib.heap_bytes() > empty + 16 * 100);

@@ -5,7 +5,7 @@
 //! big-endian length. The codec below is incremental (feed bytes, pop
 //! frames) so it works with non-blocking sockets.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use flexran_types::{FlexError, Result};
 
 /// Hard cap on a single frame: a full statistics report for hundreds of
@@ -62,6 +62,12 @@ fn corrupt(reason: &'static str) -> FlexError {
 
 /// Incremental frame decoder.
 ///
+/// Frames are handed out as borrows of the receive buffer and consumed
+/// through a read cursor; the consumed prefix is reclaimed lazily, when
+/// the next `extend` finds it at least as large as the live tail (so the
+/// move is amortized against bytes already delivered) — no per-frame
+/// shift, split or copy.
+///
 /// Once a corrupt header is seen the stream is *poisoned*: there is no way
 /// to re-synchronize a length-prefixed stream after a bad length, so the
 /// decoder drops everything buffered, discards all further input, and
@@ -72,7 +78,9 @@ fn corrupt(reason: &'static str) -> FlexError {
 /// desynced.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Read cursor into `buf`: everything before it was already returned.
+    head: usize,
     /// Why the stream was declared corrupt, if it was.
     poisoned: Option<&'static str>,
     /// Bytes discarded after poisoning (diagnostics).
@@ -91,20 +99,27 @@ impl FrameDecoder {
             self.discarded += data.len() as u64;
             return;
         }
-        if self.buf.len().saturating_add(data.len()) > MAX_BUFFERED_BYTES {
+        let live = self.buffered();
+        if live.saturating_add(data.len()) > MAX_BUFFERED_BYTES {
             self.poison("receive buffer overflow");
             self.discarded += data.len() as u64;
             return;
         }
+        if self.head >= live {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
         self.buf.extend_from_slice(data);
     }
 
-    /// Pop the next complete frame, if one is buffered.
-    pub fn next_frame(&mut self) -> Result<Option<Bytes>> {
+    /// Pop the next complete frame, if one is buffered. The frame borrows
+    /// the decoder's buffer and stays valid until the next `extend`.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>> {
         if let Some(reason) = self.poisoned {
             return Err(corrupt(reason));
         }
-        let Some(header) = self.buf.first_chunk::<4>() else {
+        let live = self.buf.get(self.head..).unwrap_or(&[]);
+        let Some(header) = live.first_chunk::<4>() else {
             return Ok(None);
         };
         let len = u32::from_be_bytes(*header) as usize;
@@ -112,18 +127,20 @@ impl FrameDecoder {
             self.poison("announced frame length exceeds cap");
             return Err(corrupt("announced frame length exceeds cap"));
         }
-        if self.buf.len() < 4 + len {
+        let start = self.head + 4;
+        if self.buf.len() < start + len {
             return Ok(None);
         }
-        self.buf.advance(4);
-        Ok(Some(self.buf.split_to(len).freeze()))
+        self.head = start + len;
+        Ok(self.buf.get(start..start + len))
     }
 
     #[cold]
     fn poison(&mut self, reason: &'static str) {
         self.poisoned = Some(reason);
-        self.discarded += self.buf.len() as u64;
-        self.buf = BytesMut::new(); // drop the backing allocation too
+        self.discarded += self.buffered() as u64;
+        drop(std::mem::take(&mut self.buf)); // the backing allocation too
+        self.head = 0;
     }
 
     /// Whether a corrupt header has permanently poisoned this stream.
@@ -138,13 +155,14 @@ impl FrameDecoder {
 
     /// Bytes currently buffered (diagnostics).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
     /// Forget all buffered state, including poisoning. For transports that
     /// reconnect: a fresh connection is a fresh stream.
     pub fn reset(&mut self) {
         self.buf.clear();
+        self.head = 0;
         self.poisoned = None;
     }
 }
@@ -159,7 +177,7 @@ mod tests {
         let frame = encode_frame(b"hello").unwrap();
         let mut d = FrameDecoder::new();
         d.extend(&frame);
-        assert_eq!(d.next_frame().unwrap().unwrap().as_ref(), b"hello");
+        assert_eq!(d.next_frame().unwrap().unwrap(), b"hello");
         assert!(d.next_frame().unwrap().is_none());
     }
 
@@ -172,7 +190,7 @@ mod tests {
         d.extend(&frame[3..6]);
         assert!(d.next_frame().unwrap().is_none());
         d.extend(&frame[6..]);
-        assert_eq!(d.next_frame().unwrap().unwrap().as_ref(), b"flexran");
+        assert_eq!(d.next_frame().unwrap().unwrap(), b"flexran");
     }
 
     #[test]
@@ -183,10 +201,39 @@ mod tests {
         stream.extend_from_slice(&encode_frame(b"").unwrap());
         let mut d = FrameDecoder::new();
         d.extend(&stream);
-        assert_eq!(d.next_frame().unwrap().unwrap().as_ref(), b"a");
-        assert_eq!(d.next_frame().unwrap().unwrap().as_ref(), b"bb");
-        assert_eq!(d.next_frame().unwrap().unwrap().as_ref(), b"");
+        assert_eq!(d.next_frame().unwrap().unwrap(), b"a");
+        assert_eq!(d.next_frame().unwrap().unwrap(), b"bb");
+        assert_eq!(d.next_frame().unwrap().unwrap(), b"");
         assert!(d.next_frame().unwrap().is_none());
+    }
+
+    #[test]
+    fn consumed_prefix_is_reclaimed_lazily() {
+        // Popping frames only moves the read cursor; the prefix is dropped
+        // by a later `extend`, once it outweighs the live tail — so a
+        // long-lived stream never accumulates delivered bytes.
+        let frame = encode_frame(&[7u8; 60]).unwrap();
+        let mut d = FrameDecoder::new();
+        for _ in 0..4 {
+            d.extend(&frame);
+        }
+        for _ in 0..3 {
+            assert_eq!(d.next_frame().unwrap().unwrap(), &[7u8; 60]);
+        }
+        assert_eq!(d.buffered(), 64);
+        assert_eq!(d.buf.len(), 4 * 64, "no shift per popped frame");
+        d.extend(&frame[..10]);
+        assert_eq!(d.buf.len(), 64 + 10, "prefix reclaimed on extend");
+        assert_eq!(d.next_frame().unwrap().unwrap(), &[7u8; 60]);
+        assert!(d.next_frame().unwrap().is_none());
+        d.extend(&frame[10..]);
+        assert_eq!(d.next_frame().unwrap().unwrap(), &[7u8; 60]);
+        assert_eq!(d.buffered(), 0);
+        for _ in 0..1000 {
+            d.extend(&frame);
+            assert!(d.next_frame().unwrap().is_some());
+        }
+        assert!(d.buf.len() <= 64, "steady state holds one frame");
     }
 
     #[test]
@@ -217,7 +264,7 @@ mod tests {
         d.reset();
         assert!(!d.is_poisoned());
         d.extend(&encode_frame(b"valid").unwrap());
-        assert_eq!(d.next_frame().unwrap().unwrap().as_ref(), b"valid");
+        assert_eq!(d.next_frame().unwrap().unwrap(), b"valid");
     }
 
     #[test]

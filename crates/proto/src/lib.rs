@@ -12,6 +12,8 @@
 //!   types of paper Table 1 (configuration, statistics, commands,
 //!   event triggers, control delegation) plus session management and the
 //!   per-TTI subframe sync.
+//! * [`inline`] — fixed-capacity inline storage for a UE report's
+//!   repeated fields (no heap on the statistics path).
 //! * [`frame`] — length-delimited framing for stream transports.
 //! * [`transport`] — the async channel abstraction with TCP and
 //!   in-process implementations (the virtual-time implementation lives in
@@ -20,6 +22,7 @@
 
 pub mod category;
 pub mod frame;
+pub mod inline;
 pub mod messages;
 pub mod transport;
 pub mod wire;

@@ -306,6 +306,14 @@ impl FlexranMessage {
     /// across sends.
     pub fn encode_into(&self, header: Header, w: &mut WireWriter) {
         w.clear();
+        self.encode_append(header, w);
+    }
+
+    /// Append one envelope after whatever `w` already holds — how a byte
+    /// log (the RIB journal) gets its records encoded in place. The
+    /// integrity trailer covers the appended envelope only.
+    pub fn encode_append(&self, header: Header, w: &mut WireWriter) {
+        let start = w.len();
         w.message(F_HEADER, |m| header.encode(m));
         match self {
             FlexranMessage::Hello(b) => w.message(F_HELLO, |m| b.encode(m)),
@@ -332,7 +340,7 @@ impl FlexranMessage {
             FlexranMessage::ConfigBundlePush(b) => w.message(F_CONFIG_BUNDLE_PUSH, |m| b.encode(m)),
             FlexranMessage::ConfigBundleAck(b) => w.message(F_CONFIG_BUNDLE_ACK, |m| b.encode(m)),
         }
-        let crc = crc32(w.as_slice());
+        let crc = crc32(w.as_slice().get(start..).unwrap_or(&[]));
         w.fixed32_always(F_INTEGRITY, crc);
     }
 

@@ -14,6 +14,7 @@
 use flexran_types::ids::EnbId;
 use flexran_types::Result;
 
+use crate::inline::InlineVec;
 use crate::wire::{WireReader, WireWriter};
 
 /// Which statistic groups a report should include (bitmask).
@@ -138,7 +139,26 @@ impl RlcReport {
     }
 }
 
-/// One UE's statistics on the wire.
+// Capacities of a UE report's repeated fields: the LTE maxima
+// `UeReport::from_stats` fills them to. A received report exceeding one
+// fails to decode.
+
+/// CQI subbands at 50 PRB (TS 36.213).
+pub const MAX_SUBBANDS: usize = 13;
+/// Uplink SINR resource-block groups.
+pub const MAX_RBGS: usize = 25;
+/// Downlink HARQ processes (FDD).
+pub const MAX_HARQ_PROCESSES: usize = 8;
+/// Logical-channel groups a BSR covers.
+pub const MAX_LCGS: usize = 4;
+/// Radio bearers reported per UE.
+pub const MAX_BEARERS: usize = 4;
+/// Secondary component carriers an eNodeB activates per UE.
+pub const MAX_SCELLS: usize = flexran_stack::enb::MAX_SCELLS;
+
+/// One UE's statistics on the wire. Owns no heap: the repeated fields
+/// are [`InlineVec`]s, so composing, decoding, cloning into the RIB and
+/// snapshotting a report never allocate.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct UeReport {
     pub rnti: u16,
@@ -149,21 +169,21 @@ pub struct UeReport {
     pub priority_group: u8,
     /// Wideband CQI plus per-subband CQIs.
     pub wideband_cqi: u8,
-    pub subband_cqi: Vec<u64>,
+    pub subband_cqi: InlineVec<u8, MAX_SUBBANDS>,
     /// Buffer status per logical-channel group (4 entries).
-    pub bsr: Vec<u64>,
+    pub bsr: InlineVec<u8, MAX_LCGS>,
     /// Power headroom, dB.
     pub phr_db: i64,
     /// RLC state per bearer.
-    pub rlc: Vec<RlcReport>,
+    pub rlc: InlineVec<RlcReport, MAX_BEARERS>,
     /// Pending MAC control elements.
     pub pending_mac_ces: u32,
     /// Downlink HARQ process states (8 entries; 0 idle / 1 busy).
-    pub harq_states: Vec<u64>,
+    pub harq_states: InlineVec<u8, MAX_HARQ_PROCESSES>,
     /// Uplink wideband SINR in deci-dB (signed).
     pub ul_sinr_decidb: i64,
     /// Uplink per-subband SINR, deci-dB + 700 offset (packed unsigned).
-    pub ul_subband_sinr: Vec<u64>,
+    pub ul_subband_sinr: InlineVec<u16, MAX_RBGS>,
     /// Serving-cell RSRP / RSRQ in deci-dBm / deci-dB (signed).
     pub rsrp_decidbm: i64,
     pub rsrq_decidb: i64,
@@ -181,11 +201,11 @@ pub struct UeReport {
     /// TTI the CQI was measured at.
     pub cqi_timestamp: u64,
     /// Second-codeword subband CQIs (present even in TM1 reports from OAI).
-    pub subband_cqi_cw1: Vec<u64>,
+    pub subband_cqi_cw1: InlineVec<u8, MAX_SUBBANDS>,
     /// HARQ round counter per process (8 entries).
-    pub harq_rounds: Vec<u64>,
+    pub harq_rounds: InlineVec<u8, MAX_HARQ_PROCESSES>,
     /// Transport block size currently held by each HARQ process, bytes.
-    pub tbs_per_process: Vec<u64>,
+    pub tbs_per_process: InlineVec<u32, MAX_HARQ_PROCESSES>,
     /// Uplink power-control state, deci-dBm (signed).
     pub pusch_power_decidbm: i64,
     pub pucch_power_decidbm: i64,
@@ -193,7 +213,7 @@ pub struct UeReport {
     pub pdcp_rx_bytes: u64,
     pub pdcp_rx_sn: u32,
     /// Activated secondary component carriers.
-    pub active_scells: Vec<u64>,
+    pub active_scells: InlineVec<u16, MAX_SCELLS>,
 }
 
 impl UeReport {
@@ -245,14 +265,14 @@ impl UeReport {
                 3 => m.slice = v.as_u64()? as u8,
                 4 => m.priority_group = v.as_u64()? as u8,
                 5 => m.wideband_cqi = v.as_u64()? as u8,
-                6 => m.subband_cqi = v.as_packed_uints()?,
-                7 => m.bsr = v.as_packed_uints()?,
+                6 => m.subband_cqi = InlineVec::from_packed(v.as_bytes()?)?,
+                7 => m.bsr = InlineVec::from_packed(v.as_bytes()?)?,
                 8 => m.phr_db = v.as_i64_zigzag()?,
-                9 => m.rlc.push(RlcReport::decode(v.as_bytes()?)?),
+                9 => m.rlc.try_push(RlcReport::decode(v.as_bytes()?)?)?,
                 10 => m.pending_mac_ces = v.as_u32()?,
-                11 => m.harq_states = v.as_packed_uints()?,
+                11 => m.harq_states = InlineVec::from_packed(v.as_bytes()?)?,
                 12 => m.ul_sinr_decidb = v.as_i64_zigzag()?,
-                13 => m.ul_subband_sinr = v.as_packed_uints()?,
+                13 => m.ul_subband_sinr = InlineVec::from_packed(v.as_bytes()?)?,
                 14 => m.rsrp_decidbm = v.as_i64_zigzag()?,
                 15 => m.rsrq_decidb = v.as_i64_zigzag()?,
                 16 => m.pdcp_tx_bytes = v.as_u64()?,
@@ -264,15 +284,15 @@ impl UeReport {
                 22 => m.avg_rate_bps = v.as_u64()?,
                 23 => m.last_mcs = v.as_u64()? as u8,
                 24 => m.cqi_timestamp = v.as_u64()?,
-                25 => m.subband_cqi_cw1 = v.as_packed_uints()?,
-                26 => m.harq_rounds = v.as_packed_uints()?,
-                27 => m.tbs_per_process = v.as_packed_uints()?,
+                25 => m.subband_cqi_cw1 = InlineVec::from_packed(v.as_bytes()?)?,
+                26 => m.harq_rounds = InlineVec::from_packed(v.as_bytes()?)?,
+                27 => m.tbs_per_process = InlineVec::from_packed(v.as_bytes()?)?,
                 28 => m.pusch_power_decidbm = v.as_i64_zigzag()?,
                 29 => m.pucch_power_decidbm = v.as_i64_zigzag()?,
                 30 => m.pdcp_rx_bytes = v.as_u64()?,
                 31 => m.pdcp_rx_sn = v.as_u32()?,
                 32 => m.cell = (v.as_u64()?.saturating_sub(1)) as u16,
-                33 => m.active_scells = v.as_packed_uints()?,
+                33 => m.active_scells = InlineVec::from_packed(v.as_bytes()?)?,
                 _ => {}
             }
         }
@@ -289,33 +309,35 @@ impl UeReport {
         cell: flexran_types::ids::CellId,
         flags: ReportFlags,
     ) -> UeReport {
-        let n_subbands = 13; // 50-PRB bandwidth → 13 subbands (TS 36.213)
         let mut rep = UeReport {
             rnti: s.rnti.0,
             cell: cell.0,
             connected: s.connected,
             slice: s.slice.0,
             priority_group: s.priority_group,
-            active_scells: s.active_scells.iter().map(|c| *c as u64).collect(),
             ..UeReport::default()
         };
+        // `Enb::set_scell` admits at most `MAX_SCELLS` carriers per UE.
+        for scell in s.active_scells.iter().take(MAX_SCELLS) {
+            rep.active_scells.try_push(*scell).ok();
+        }
         if flags.contains(ReportFlags::CQI) {
             rep.wideband_cqi = s.cqi.0;
-            rep.subband_cqi = vec![s.cqi.0 as u64; n_subbands];
-            rep.subband_cqi_cw1 = vec![s.cqi.0 as u64; n_subbands];
+            rep.subband_cqi = InlineVec::full(s.cqi.0);
+            rep.subband_cqi_cw1 = InlineVec::full(s.cqi.0);
             rep.cqi_timestamp = s.cqi_updated.0;
             let decidb = (s.sinr_db.clamp(-70.0, 70.0) * 10.0) as i64;
             rep.ul_sinr_decidb = decidb;
             // Uplink SINR per resource-block group (25 RBGs at 50 PRB).
-            rep.ul_subband_sinr = vec![(decidb + 700).max(0) as u64; 25];
+            rep.ul_subband_sinr = InlineVec::full((decidb + 700).max(0) as u16);
         }
         if flags.contains(ReportFlags::BSR) {
-            let idx = flexran_stack::mac::bsr::bsr_index(s.ul_bsr_bytes.as_u64()) as u64;
-            rep.bsr = vec![idx, 0, 0, 0];
+            let idx = flexran_stack::mac::bsr::bsr_index(s.ul_bsr_bytes.as_u64());
+            rep.bsr = [idx, 0, 0, 0].into();
             rep.phr_db = 20;
         }
         if flags.contains(ReportFlags::RLC) {
-            rep.rlc = vec![
+            rep.rlc = [
                 RlcReport {
                     lcid: 1,
                     tx_queue_bytes: s.srb_queue_bytes.as_u64(),
@@ -328,7 +350,8 @@ impl UeReport {
                     hol_delay_ms: s.hol_delay_ms,
                     status_pdu_bytes: 0,
                 },
-            ];
+            ]
+            .into();
         }
         if flags.contains(ReportFlags::PDCP) {
             rep.pdcp_tx_bytes = s.dl_delivered_bits / 8;
@@ -345,16 +368,15 @@ impl UeReport {
             rep.pucch_power_decidbm = -50;
         }
         if flags.contains(ReportFlags::HARQ) {
-            rep.harq_states = vec![0; 8];
-            rep.harq_rounds = vec![0; 8];
+            rep.harq_states = InlineVec::full(0);
+            rep.harq_rounds = InlineVec::full(0);
             let tb = flexran_phy::tables::tbs_bits(
                 flexran_phy::tables::itbs_for_mcs(
                     flexran_phy::link_adaptation::mcs_for_cqi(s.cqi).0,
                 ),
                 10,
-            ) as u64
-                / 8;
-            rep.tbs_per_process = vec![tb; 8];
+            ) / 8;
+            rep.tbs_per_process = InlineVec::full(tb);
             rep.harq_tx = s.harq_tx;
             rep.harq_retx = s.harq_retx;
         }
@@ -521,6 +543,79 @@ mod tests {
         assert_eq!(r.ues[0], rep);
         assert_eq!(r.cells[0].missed_deadlines, 3);
         assert_eq!(r.tti, 123_456);
+    }
+
+    /// Every repeated field filled to its capacity with wide values.
+    fn report_at_capacity() -> UeReport {
+        UeReport {
+            rnti: 0x1FF,
+            cell: 2,
+            connected: true,
+            subband_cqi: InlineVec::full(15),
+            subband_cqi_cw1: InlineVec::full(14),
+            bsr: InlineVec::full(63),
+            rlc: InlineVec::full(RlcReport {
+                lcid: 9,
+                tx_queue_bytes: u64::MAX,
+                hol_delay_ms: 1 << 40,
+                status_pdu_bytes: u32::MAX,
+            }),
+            harq_states: InlineVec::full(1),
+            harq_rounds: InlineVec::full(3),
+            tbs_per_process: InlineVec::full(u32::MAX),
+            ul_subband_sinr: InlineVec::full(1_400),
+            active_scells: InlineVec::full(7),
+            ..UeReport::default()
+        }
+    }
+
+    #[test]
+    fn report_roundtrip_at_full_capacity() {
+        let rep = report_at_capacity();
+        assert_eq!(rep.subband_cqi.len(), MAX_SUBBANDS);
+        assert_eq!(rep.ul_subband_sinr.len(), MAX_RBGS);
+        assert_eq!(rep.rlc.len(), MAX_BEARERS);
+        let msg = FlexranMessage::StatsReply(StatsReply {
+            enb_id: EnbId(1),
+            tti: 1,
+            cells: vec![],
+            ues: vec![rep.clone(), rep],
+        });
+        let (_, got) = FlexranMessage::decode(&msg.encode(Header::default())).unwrap();
+        assert_eq!(got, msg);
+    }
+
+    #[test]
+    fn over_capacity_fields_fail_to_decode() {
+        // One element more than a field can hold — a repeated scalar and
+        // the repeated `rlc` submessage — must reject the whole envelope,
+        // not drop the surplus.
+        let sealed = |body: &dyn Fn(&mut WireWriter)| {
+            let mut w = WireWriter::new();
+            w.message(1, |m| {
+                m.uint(1, 1); // header.version
+            });
+            w.message(17, |reply| reply.message(4, |ue| body(ue)));
+            let crc = crate::wire::crc32(w.as_slice());
+            w.fixed32_always(2, crc);
+            w.finish()
+        };
+        let fits = sealed(&|ue| ue.packed_uints(7, &[1u64; MAX_LCGS]));
+        assert!(FlexranMessage::decode(&fits).is_ok());
+        let packed = sealed(&|ue| ue.packed_uints(7, &[1u64; MAX_LCGS + 1]));
+        let err = FlexranMessage::decode(&packed).unwrap_err();
+        assert_eq!(err.category(), "codec");
+        // Nor is a value narrowed: a BSR index is a u8.
+        let wide = sealed(&|ue| ue.packed_uints(7, &[1, 256u64]));
+        let err = FlexranMessage::decode(&wide).unwrap_err();
+        assert_eq!(err.category(), "codec");
+        let bearers = sealed(&|ue| {
+            for lcid in 0..=MAX_BEARERS as u64 {
+                ue.message(9, |m| m.uint(1, lcid + 1));
+            }
+        });
+        let err = FlexranMessage::decode(&bearers).unwrap_err();
+        assert_eq!(err.category(), "codec");
     }
 
     #[test]

@@ -269,7 +269,7 @@ impl Transport for TcpTransport {
             }
             return Ok(None);
         };
-        let (header, msg) = FlexranMessage::decode(&frame)?;
+        let (header, msg) = FlexranMessage::decode(frame)?;
         self.rx_counters
             .add(msg.category(), frame.len() as u64 + FRAME_OVERHEAD_BYTES);
         Ok(Some((header, msg)))

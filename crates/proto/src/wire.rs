@@ -38,10 +38,13 @@ impl WireType {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) slicing-by-8
+/// lookup tables, built at compile time. `CRC32_TABLES[0]` is the classic
+/// byte-at-a-time table; `CRC32_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, which lets [`crc32`] fold eight input bytes
+/// per step with eight independent loads instead of eight dependent ones.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -55,11 +58,30 @@ const CRC32_TABLE: [u32; 256] = {
             bit += 1;
         }
         // lint:allow(panic): i < 256 by the loop bound, at compile time.
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            // lint:allow(panic): 1 <= k < 8 and i < 256 by the loop bounds.
+            let prev = tables[k - 1][i];
+            // lint:allow(panic): as above; the inner index is masked to 0xFF.
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// `CRC32_TABLES[k]` at the low byte of `bits`.
+#[inline(always)]
+fn crc32_lut(k: usize, bits: u64) -> u32 {
+    // lint:allow(panic): callers pass a literal k < 8; the index is masked.
+    CRC32_TABLES[k][(bits & 0xFF) as usize]
+}
 
 /// CRC-32 (IEEE) of `data`. Used as the envelope integrity check: unlike
 /// a plain sum, CRC-32 is guaranteed to detect every single-bit error and
@@ -67,28 +89,67 @@ const CRC32_TABLE: [u32; 256] = {
 /// control channel actually produces.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
-    for &b in data {
-        // lint:allow(panic): the index is masked to 0xFF, table len 256.
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    // lint:alloc-free-callee `slice::as_chunks` only splits the borrow
+    let (chunks, tail) = data.as_chunks::<8>();
+    for c in chunks {
+        let v = u64::from_le_bytes(*c) ^ crc as u64;
+        crc = crc32_lut(7, v)
+            ^ crc32_lut(6, v >> 8)
+            ^ crc32_lut(5, v >> 16)
+            ^ crc32_lut(4, v >> 24)
+            ^ crc32_lut(3, v >> 32)
+            ^ crc32_lut(2, v >> 40)
+            ^ crc32_lut(1, v >> 48)
+            ^ crc32_lut(0, v >> 56);
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ crc32_lut(0, (crc ^ b as u32) as u64);
     }
     !crc
 }
 
-/// Append a base-128 varint.
-pub fn put_uvarint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+/// Append a base-128 varint. One- and two-byte values — every tag, most
+/// lengths and report fields — are written inline; longer ones are
+/// assembled on the stack and appended with a single copy.
+#[inline]
+pub fn put_uvarint(buf: &mut BytesMut, v: u64) {
+    if v < 0x80 {
+        buf.put_u8(v as u8);
+    } else if v < 0x4000 {
+        buf.put_slice(&[v as u8 | 0x80, (v >> 7) as u8]);
+    } else {
+        put_uvarint_multibyte(buf, v);
     }
 }
 
+fn put_uvarint_multibyte(buf: &mut BytesMut, mut v: u64) {
+    let mut bytes = [0u8; 10];
+    let mut n = 0;
+    for slot in bytes.iter_mut() {
+        n += 1;
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            *slot = byte;
+            break;
+        }
+        *slot = byte | 0x80;
+    }
+    // lint:allow(panic): n counts loop iterations over a 10-byte array.
+    buf.put_slice(&bytes[..n]);
+}
+
 /// Read a base-128 varint, returning `(value, bytes_consumed)`.
+#[inline]
 pub fn get_uvarint(data: &[u8]) -> Result<(u64, usize)> {
+    match *data {
+        [b, ..] if b < 0x80 => Ok((b as u64, 1)),
+        [lo, hi, ..] if hi < 0x80 => Ok(((lo & 0x7F) as u64 | (hi as u64) << 7, 2)),
+        _ => get_uvarint_multibyte(data),
+    }
+}
+
+fn get_uvarint_multibyte(data: &[u8]) -> Result<(u64, usize)> {
     let mut value = 0u64;
     let mut shift = 0u32;
     for (i, byte) in data.iter().enumerate() {
@@ -111,6 +172,7 @@ pub fn get_uvarint(data: &[u8]) -> Result<(u64, usize)> {
 
 /// Split a varint off the front of `data`, returning `(value, rest)` —
 /// the panic-free slicing primitive every decode path below builds on.
+#[inline]
 pub fn split_uvarint(data: &[u8]) -> Result<(u64, &[u8])> {
     let (v, n) = get_uvarint(data)?;
     // `get_uvarint` consumed `n <= data.len()` bytes, so the tail always
@@ -155,11 +217,25 @@ impl WireWriter {
         }
     }
 
+    /// A writer that appends to `buf` — with [`Self::into_vec`], how a
+    /// byte log (the RIB journal) has records encoded in place instead of
+    /// encoded elsewhere and copied in.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        WireWriter { buf: buf.into() }
+    }
+
+    /// Hand the buffer back (see [`Self::from_vec`]).
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf.into()
+    }
+
+    #[inline]
     fn tag(&mut self, field: u32, wt: WireType) {
         put_uvarint(&mut self.buf, ((field as u64) << 3) | wt as u64);
     }
 
     /// `uint32`/`uint64`/`bool`/enum field (skipped when 0).
+    #[inline]
     pub fn uint(&mut self, field: u32, v: u64) {
         if v == 0 {
             return;
@@ -176,6 +252,7 @@ impl WireWriter {
     }
 
     /// `sint64` field, ZigZag encoded (skipped when 0).
+    #[inline]
     pub fn sint(&mut self, field: u32, v: i64) {
         if v == 0 {
             return;
@@ -231,18 +308,18 @@ impl WireWriter {
     }
 
     /// `repeated uint` as a packed field (protobuf packed encoding —
-    /// what makes per-subband CQI arrays cheap on the wire). The payload
-    /// length is summed up front, so no intermediate buffer is needed.
-    pub fn packed_uints(&mut self, field: u32, vs: &[u64]) {
+    /// what makes per-subband CQI arrays cheap on the wire). Written in
+    /// one pass behind a patched length prefix, like [`Self::message`].
+    pub fn packed_uints<T: Copy + Into<u64>>(&mut self, field: u32, vs: &[T]) {
         if vs.is_empty() {
             return;
         }
-        let payload: usize = vs.iter().map(|v| uvarint_len(*v)).sum();
         self.tag(field, WireType::LengthDelimited);
-        put_uvarint(&mut self.buf, payload as u64);
+        let len_pos = self.open_length();
         for v in vs {
-            put_uvarint(&mut self.buf, *v);
+            put_uvarint(&mut self.buf, (*v).into());
         }
+        self.close_length(len_pos);
     }
 
     /// Nested message field: the closure writes the submessage.
@@ -255,11 +332,23 @@ impl WireWriter {
     /// match a real implementation, which Fig. 7 depends on.
     pub fn message<F: FnOnce(&mut WireWriter)>(&mut self, field: u32, f: F) {
         self.tag(field, WireType::LengthDelimited);
-        let len_pos = self.buf.len();
-        self.buf.put_u8(0); // length placeholder
-                            // The closure body is analyzed at its definition site
-                            // (closures-as-edges), not through this `FnOnce`. lint:alloc-free-callee
+        let len_pos = self.open_length();
+        // The closure body is analyzed at its definition site
+        // (closures-as-edges), not through this `FnOnce`. lint:alloc-free-callee
         f(self);
+        self.close_length(len_pos);
+    }
+
+    /// Reserve a one-byte length prefix; returns its position.
+    fn open_length(&mut self) -> usize {
+        let len_pos = self.buf.len();
+        self.buf.put_u8(0);
+        len_pos
+    }
+
+    /// Patch the prefix opened at `len_pos` with the length of everything
+    /// written since.
+    fn close_length(&mut self, len_pos: usize) {
         let payload = self.buf.len() - len_pos - 1;
         let len_bytes = uvarint_len(payload as u64);
         if len_bytes > 1 {
@@ -312,6 +401,7 @@ pub enum WireValue<'a> {
 }
 
 impl<'a> WireValue<'a> {
+    #[inline]
     pub fn as_u64(&self) -> Result<u64> {
         match self {
             WireValue::Varint(v) => Ok(*v),
@@ -351,7 +441,10 @@ impl<'a> WireValue<'a> {
     /// Decode a packed repeated-uint field.
     pub fn as_packed_uints(&self) -> Result<Vec<u64>> {
         let mut data = self.as_bytes()?;
-        let mut out = Vec::new();
+        // One varint per byte with the continuation bit clear: exact for
+        // well-formed input and never more than `data.len()`, so the
+        // vector is sized once instead of grown by doubling.
+        let mut out = Vec::with_capacity(data.iter().filter(|b| **b < 0x80).count());
         while !data.is_empty() {
             let (v, rest) = split_uvarint(data)?;
             out.push(v);
@@ -373,6 +466,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Next `(field number, value)`, or `None` at end of input.
+    #[inline]
     pub fn next_field(&mut self) -> Result<Option<(u32, WireValue<'a>)>> {
         if self.data.is_empty() {
             return Ok(None);
@@ -460,6 +554,43 @@ mod tests {
         assert!(get_uvarint(&overflow).is_err());
     }
 
+    /// The textbook CRC-32: one bit at a time, no table.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// The varint writer before the one- and two-byte fast paths.
+    fn put_uvarint_loop(buf: &mut Vec<u8>, mut v: u64) {
+        loop {
+            let byte = (v & 0x7F) as u8;
+            v >>= 7;
+            if v == 0 {
+                buf.push(byte);
+                return;
+            }
+            buf.push(byte | 0x80);
+        }
+    }
+
+    #[test]
+    fn crc32_known_answers() {
+        // The CRC catalogue's check value for CRC-32/ISO-HDLC.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
     #[test]
     fn zigzag_known_values() {
         // The protobuf documentation table.
@@ -478,7 +609,7 @@ mod tests {
         w.double(2, 0.0);
         w.string(3, "");
         w.bytes_field(4, &[]);
-        w.packed_uints(5, &[]);
+        w.packed_uints::<u64>(5, &[]);
         assert!(w.is_empty(), "default values must not hit the wire");
     }
 
@@ -491,7 +622,7 @@ mod tests {
         w.fixed32(4, 0xDEAD);
         w.string(5, "flexran");
         w.bytes_field(6, &[1, 2, 3]);
-        w.packed_uints(7, &[0, 1, 300]);
+        w.packed_uints(7, &[0u64, 1, 300]);
         w.message(8, |m| {
             m.uint(1, 9);
         });
@@ -598,6 +729,37 @@ mod tests {
             prop_assert_eq!(got, v);
             prop_assert_eq!(n, buf.len());
             prop_assert_eq!(n, uvarint_len(v));
+        }
+
+        /// The slicing kernel against the bit-at-a-time reference: every
+        /// length around the 8-byte stride, at every alignment.
+        #[test]
+        fn crc32_matches_bitwise_reference(
+            data in proptest::collection::vec(any::<u8>(), 80..81),
+            offset in 0usize..16,
+            len in 0usize..65,
+        ) {
+            let window = &data[offset..offset + len];
+            prop_assert_eq!(crc32(window), crc32_bitwise(window));
+        }
+
+        /// Fast paths against the plain loop at every 2^(7k) boundary —
+        /// where the encoded length changes.
+        #[test]
+        fn uvarint_fast_paths_match_the_loop(k in 0u32..10, delta in 0u64..4, junk in any::<u8>()) {
+            let edge = 1u64.checked_shl(7 * k).unwrap_or(0);
+            for v in [edge.wrapping_sub(delta + 1), edge.wrapping_add(delta)] {
+                let mut want = Vec::new();
+                put_uvarint_loop(&mut want, v);
+                let mut got = BytesMut::new();
+                put_uvarint(&mut got, v);
+                prop_assert_eq!(&got[..], &want[..]);
+                // Decoding must not look past the terminator byte.
+                want.push(junk);
+                prop_assert_eq!(get_uvarint(&want).unwrap(), (v, want.len() - 1));
+                let (split, rest) = split_uvarint(&want).unwrap();
+                prop_assert_eq!((split, rest), (v, &[junk][..]));
+            }
         }
 
         #[test]

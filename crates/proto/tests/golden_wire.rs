@@ -113,8 +113,8 @@ fn stats_reply_snapshot() {
             cell: 0,
             connected: true,
             wideband_cqi: 12,
-            subband_cqi: vec![11, 12, 13],
-            bsr: vec![0, 7, 0, 0],
+            subband_cqi: [11, 12, 13].into(),
+            bsr: [0, 7, 0, 0].into(),
             ..UeReport::default()
         }],
     });

@@ -339,10 +339,18 @@ struct InTransit {
 /// bytes are not even protobuf), used for fault insertion.
 const GARBAGE_FRAME: [u8; 16] = [0xFF; 16];
 
+/// Delivered payload buffers a direction keeps for its sender to encode
+/// into again. One message is in flight per link-latency TTI and message
+/// kind, so a handful covers the steady state.
+const SPARE_BUFFERS: usize = 8;
+
 /// The shared directed queue between two endpoints.
 struct Direction {
     config: LinkConfig,
     queue: VecDeque<InTransit>,
+    /// Buffers of delivered messages, cleared, awaiting reuse by the
+    /// sending endpoint (at most [`SPARE_BUFFERS`]).
+    spare: Vec<Vec<u8>>,
     /// Departure horizon for rate limiting.
     next_free: Tti,
     /// Last scheduled arrival (FIFO enforcement under jitter).
@@ -360,6 +368,7 @@ impl Direction {
         Direction {
             config,
             queue: VecDeque::new(),
+            spare: Vec::new(),
             next_free: Tti::ZERO,
             last_arrival: Tti::ZERO,
             rng: StdRng::seed_from_u64(config.seed),
@@ -468,6 +477,14 @@ impl Direction {
             None
         }
     }
+
+    /// Take back the buffer of a delivered message.
+    fn recycle(&mut self, mut payload: Vec<u8>) {
+        if self.spare.len() < SPARE_BUFFERS {
+            payload.clear();
+            self.spare.push(payload);
+        }
+    }
 }
 
 /// One endpoint of a simulated link.
@@ -477,7 +494,8 @@ pub struct SimTransport {
     out: Arc<Mutex<Direction>>,
     /// Queue this endpoint receives from.
     inc: Arc<Mutex<Direction>>,
-    /// Encode scratch, reused across sends.
+    /// Encode buffer. Each send moves it into the queue whole and
+    /// continues in one the receiver has handed back.
     scratch: WireWriter,
     tx_counters: ByteCounters,
     rx_counters: ByteCounters,
@@ -583,11 +601,10 @@ impl Transport for SimTransport {
             msg.category(),
             self.scratch.len() as u64 + FRAME_OVERHEAD_BYTES,
         );
-        self.out.lock().transmit(
-            self.clock.now(),
-            self.scratch.as_slice().to_vec(),
-            msg.category(),
-        );
+        let mut out = self.out.lock();
+        let next = WireWriter::from_vec(out.spare.pop().unwrap_or_default());
+        let payload = std::mem::replace(&mut self.scratch, next).into_vec();
+        out.transmit(self.clock.now(), payload, msg.category());
         Ok(())
     }
 
@@ -595,10 +612,12 @@ impl Transport for SimTransport {
         let Some(payload) = self.inc.lock().pop_due(self.clock.now()) else {
             return Ok(None);
         };
-        let (header, msg) = FlexranMessage::decode(&payload)
+        let decoded = FlexranMessage::decode(&payload);
+        let wire_bytes = payload.len() as u64 + FRAME_OVERHEAD_BYTES;
+        self.inc.lock().recycle(payload);
+        let (header, msg) = decoded
             .map_err(|e| FlexError::Transport(format!("undecodable frame on sim link: {e}")))?;
-        self.rx_counters
-            .add(msg.category(), payload.len() as u64 + FRAME_OVERHEAD_BYTES);
+        self.rx_counters.add(msg.category(), wire_bytes);
         Ok(Some((header, msg)))
     }
 

@@ -43,6 +43,16 @@ use crate::rlc::RlcTx;
 use crate::rrc::{RrcState, RrcTimers, CONN_SETUP_BYTES, HO_COMMAND_BYTES};
 use crate::stats::{CellStats, UeStats};
 
+/// Secondary component carriers one UE may aggregate (TS 36.331
+/// `maxSCell-r10`).
+pub const MAX_SCELLS: usize = 4;
+
+/// Executed decisions' buffers kept for reuse, per cell and direction.
+/// Local scheduling takes one back out every TTI, so the pool hovers at
+/// one or two; remote decisions arrive in freshly decoded vectors and
+/// never take one, so without a cap the pool grew by a vector per TTI.
+const DECISION_POOL_DEPTH: usize = 4;
+
 /// The PHY as seen by the data plane: per-UE instantaneous SINR.
 ///
 /// The simulator implements this against its radio environment (geometry,
@@ -556,6 +566,11 @@ impl Enb {
             .ue_mut(rnti)
             .ok_or_else(|| FlexError::NotFound(format!("{rnti}")))?; // lint:allow(alloc-reach) error path
         if activate {
+            if ctx.active_scells.len() >= MAX_SCELLS && !ctx.active_scells.contains(&scell.0) {
+                return Err(FlexError::InvalidConfig(format!(
+                    "{rnti} already aggregates {MAX_SCELLS} secondary carriers"
+                )));
+            }
             ctx.active_scells.insert(scell.0);
         } else {
             ctx.active_scells.remove(&scell.0);
@@ -1097,8 +1112,10 @@ impl Enb {
                         c.ues[ui].bits_this_tti += tbs;
                     }
                 }
-                decision.dcis.clear();
-                c.dci_pool.push(decision.dcis);
+                if c.dci_pool.len() < DECISION_POOL_DEPTH {
+                    decision.dcis.clear();
+                    c.dci_pool.push(decision.dcis);
+                }
             }
 
             // Uplink grants for this subframe (grant buffer recycled the
@@ -1131,8 +1148,10 @@ impl Enb {
                     }
                     // On failure the backlog stays; a later grant retries.
                 }
-                decision.grants.clear();
-                c.grant_pool.push(decision.grants);
+                if c.grant_pool.len() < DECISION_POOL_DEPTH {
+                    decision.grants.clear();
+                    c.grant_pool.push(decision.grants);
+                }
             }
 
             // Average-rate EWMA for proportional fairness.
@@ -1225,6 +1244,14 @@ impl Enb {
             }
             total += c.pending_dl.len() * std::mem::size_of::<DlSchedulingDecision>();
             total += c.feedback_queue.len() * std::mem::size_of::<Vec<Feedback>>();
+            total += c.dci_pool.capacity() * std::mem::size_of::<Vec<DlDci>>();
+            total += c.grant_pool.capacity() * std::mem::size_of::<Vec<UlGrant>>();
+            for buf in &c.dci_pool {
+                total += buf.capacity() * std::mem::size_of::<DlDci>();
+            }
+            for buf in &c.grant_pool {
+                total += buf.capacity() * std::mem::size_of::<UlGrant>();
+            }
         }
         total
     }
@@ -1557,6 +1584,93 @@ mod tests {
         assert_eq!(e.ue_stat(CELL, rnti).unwrap().active_scells, vec![1]);
         e.set_scell(CELL, rnti, CellId(1), false).unwrap();
         assert!(e.ue_stat(CELL, rnti).unwrap().active_scells.is_empty());
+    }
+
+    #[test]
+    fn scell_aggregation_is_capped() {
+        let mut cfg = EnbConfig::single_cell(flexran_types::ids::EnbId(1));
+        for c in 1..=MAX_SCELLS as u16 + 1 {
+            cfg.cells
+                .push(flexran_types::config::CellConfig::paper_default(CellId(c)));
+        }
+        let mut e = Enb::new(cfg, EnbParams::default()).unwrap();
+        let rnti = e.rach(CELL, UeId(1), SliceId::MNO, 0, Tti(0)).unwrap();
+        for c in 1..=MAX_SCELLS as u16 {
+            e.set_scell(CELL, rnti, CellId(c), true).unwrap();
+        }
+        let one_more = CellId(MAX_SCELLS as u16 + 1);
+        assert!(e.set_scell(CELL, rnti, one_more, true).is_err());
+        // Re-activating an active carrier is not a new one.
+        e.set_scell(CELL, rnti, CellId(1), true).unwrap();
+        e.set_scell(CELL, rnti, CellId(1), false).unwrap();
+        e.set_scell(CELL, rnti, one_more, true).unwrap();
+        assert_eq!(
+            e.ue_stat(CELL, rnti).unwrap().active_scells.len(),
+            MAX_SCELLS
+        );
+    }
+
+    #[test]
+    fn remote_decisions_do_not_grow_the_buffer_pools() {
+        // Regression: a remotely scheduled eNodeB is handed a fresh DCI /
+        // grant vector per decision and never draws from the recycling
+        // pools, which used to keep every executed vector forever (one
+        // per cell per TTI).
+        let footprint_after = |ttis: u64| {
+            let mut e = enb();
+            let mut phy = StaticPhyView(20.0);
+            let rnti = e
+                .admit_ue(CELL, UeId(1), SliceId::MNO, 0, Bytes(0), Tti(0))
+                .unwrap();
+            for t in 0..ttis {
+                let tti = Tti(t);
+                e.begin_tti(tti, &mut phy);
+                // One SDU in flight at a time keeps the RLC queue's own
+                // capacity out of the comparison.
+                if e.dl_queue_bytes(CELL, rnti).unwrap().is_zero() {
+                    e.inject_dl_traffic(CELL, rnti, Bytes(2_000), tti).unwrap();
+                }
+                let mcs = flexran_phy::link_adaptation::Mcs(10);
+                e.submit_dl_decision(
+                    DlSchedulingDecision {
+                        cell: CELL,
+                        target: tti,
+                        dcis: vec![DlDci {
+                            rnti,
+                            n_prb: 10,
+                            mcs,
+                        }],
+                    },
+                    tti,
+                )
+                .unwrap();
+                e.submit_ul_decision(
+                    UlSchedulingDecision {
+                        cell: CELL,
+                        target: tti,
+                        grants: vec![UlGrant {
+                            rnti,
+                            n_prb: 4,
+                            mcs,
+                        }],
+                    },
+                    tti,
+                )
+                .unwrap();
+                e.finish_tti(tti, &mut phy);
+                e.take_events();
+            }
+            let pooled = e.cells[0].dci_pool.len() + e.cells[0].grant_pool.len();
+            (e.heap_bytes(), pooled)
+        };
+        let (short, pooled_short) = footprint_after(500);
+        let (long, pooled_long) = footprint_after(5_000);
+        assert_eq!(pooled_short, 2 * DECISION_POOL_DEPTH);
+        assert_eq!(pooled_long, pooled_short);
+        assert_eq!(
+            long, short,
+            "Enb heap footprint must not depend on run length"
+        );
     }
 
     #[test]

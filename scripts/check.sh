@@ -30,7 +30,7 @@ echo "==> determinism + master-recovery tests with debug-invariants assertions"
 cargo test --quiet --release -p flexran --features debug-invariants --test determinism
 cargo test --quiet --release -p flexran --features debug-invariants --test master_recovery
 
-echo "==> allocation-regression gate (2 eNBs x 32 UEs, committed ceiling: 0 allocs)"
+echo "==> allocation-regression gates (2x32 local: 0 allocs/TTI; 2x16 remote-scheduled, per-TTI full reports, journal on: 34 allocs/TTI)"
 cargo run --quiet --release -p flexran-bench --bin experiments -- \
     allocgate --out target/check-allocgate
 
@@ -44,5 +44,9 @@ echo "==> chaos campaign gate (8 seeds x 2000 TTIs, unsharded + 4-shard, paralle
 # over the worker pool, failing on any violation (exit 1 pins each one).
 cargo run --quiet --release -p flexran-campaign -- \
     chaos --seeds 8 --ttis 2000 --configs 1,4 --out target/check-chaos
+
+echo "==> benchmark crate (out of the workspace, so nothing above compiles it) + its smoke run"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke
 
 echo "All checks passed."
