@@ -220,6 +220,65 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bit patterns of 2 000 samples drawn at `ttis`.
+    fn sample_digest(ch: &mut GaussMarkovFading, ttis: impl Iterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for t in ttis.take(2_000) {
+            for b in ch.sinr_db(Tti(t)).to_bits().to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn gauss_markov_sample_streams_are_pinned() {
+        // Digests taken from the implementation that recomputed
+        // sqrt(1 - rho^2) * sigma on every step; any change to the
+        // arithmetic or to the RNG draw order moves them. Per channel:
+        // every TTI in order; a pattern that skips TTIs (including jumps
+        // past the 256-step cap); every third TTI queried twice (the
+        // repeat query still advances the process once).
+        let pins = [
+            (
+                (15.0, 4.0, 0.95, 7u64),
+                [
+                    0xfa05_6c77_4a3e_5cf7,
+                    0x1a89_481f_705a_7c46,
+                    0x3943_e97d_9b58_8e29,
+                ],
+            ),
+            (
+                (0.0, 3.0, 0.99, 42),
+                [
+                    0x3aa7_96e7_bdca_1614,
+                    0x873a_01de_d97d_cbce,
+                    0xd0ff_a2cc_7835_8688,
+                ],
+            ),
+            (
+                (-3.5, 8.0, 0.0, 0xDEAD_BEEF),
+                [
+                    0xbb4f_19d9_52df_71d2,
+                    0xb8b0_1356_f4a7_7e31,
+                    0x7da8_27fb_2395_0290,
+                ],
+            ),
+        ];
+        for ((mean, sigma, rho, seed), expect) in pins {
+            let fresh = || GaussMarkovFading::new(mean, sigma, rho, seed);
+            let got: [u64; 3] = [
+                sample_digest(&mut fresh(), 0..),
+                sample_digest(
+                    &mut fresh(),
+                    (0u64..).map(|i| 3 * i + (i % 7) * (i % 11) * 40),
+                ),
+                sample_digest(&mut fresh(), (0u64..).map(|i| i / 2 * 3)),
+            ];
+            assert_eq!(got, expect, "({mean}, {sigma}, {rho}, {seed}): {got:#x?}");
+        }
+    }
+
     #[test]
     fn gauss_markov_stays_near_mean() {
         let mut ch = GaussMarkovFading::new(12.0, 3.0, 0.98, 42);

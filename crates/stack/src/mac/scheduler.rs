@@ -693,3 +693,6 @@ mod tests {
         assert!(out.grants.is_empty());
     }
 }
+
+#[cfg(test)]
+mod oracle;
