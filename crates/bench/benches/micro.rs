@@ -8,7 +8,12 @@
 //! * `rib_update` — one full stats report applied by the single-writer
 //!   RIB updater (the Fig. 8 core-components cost).
 //! * `journal_delta` — the same report appended to the RIB journal.
-//! * `scheduler/*` — one TTI of downlink scheduling at 50 UEs.
+//! * `scheduler_*` — one TTI of downlink scheduling at 50 UEs, and the
+//!   `dense_local` shape: 64 full-buffer UEs with distinct average rates
+//!   through proportional-fair into a kept output.
+//! * `radio_sinr_256ues` — one SINR sample for each of 256 fading UEs
+//!   (what the CQI pass of four 64-UE cells asks of the radio
+//!   environment on a measurement TTI).
 //! * `sim_tti` — one whole harness TTI (master cycle + agent phases +
 //!   data plane) with 10 UEs.
 
@@ -19,14 +24,17 @@ use flexran::agent::vsf::{VsfImpl, VsfSlot};
 use flexran::agent::{AgentConfig, VsfRegistry};
 use flexran::controller::{Rib, RibJournal, RibUpdater};
 use flexran::harness::{SimConfig, SimHarness, UeRadioSpec};
+use flexran::phy::channel::GaussMarkovFading;
 use flexran::phy::link_adaptation::Cqi;
 use flexran::prelude::*;
 use flexran::proto::messages::stats::{ReportFlags, StatsReply, UeReport};
 use flexran::proto::messages::{FlexranMessage, Header, Hello};
 use flexran::proto::wire::WireWriter;
+use flexran::sim::radio::{RadioEnvironment, UeRadio};
 use flexran::sim::traffic::CbrSource;
 use flexran::stack::mac::scheduler::{
-    DlScheduler, DlSchedulerInput, ProportionalFairScheduler, RoundRobinScheduler, UeSchedInfo,
+    DlScheduler, DlSchedulerInput, DlSchedulerOutput, ProportionalFairScheduler,
+    RoundRobinScheduler, UeSchedInfo,
 };
 use flexran::stack::stats::UeStats;
 use flexran::types::units::Bytes;
@@ -162,6 +170,43 @@ fn bench_scheduler(c: &mut Criterion) {
     c.bench_function("scheduler_pf_50ues", |b| {
         b.iter(|| black_box(pf.schedule_dl(&input)))
     });
+
+    let full_buffer = DlSchedulerInput {
+        ues: (0..64u16)
+            .map(|i| UeSchedInfo {
+                rnti: Rnti(0x100 + i),
+                cqi: Cqi(3 + (i % 13) as u8),
+                queue_bytes: Bytes(500_000),
+                srb_bytes: Bytes(0),
+                avg_rate_bps: 2e5 + i as f64 * 3.7e4,
+                slice: SliceId::MNO,
+                priority_group: 0,
+                hol_delay_ms: 1,
+            })
+            .collect(),
+        ..input
+    };
+    let mut out = DlSchedulerOutput::default();
+    c.bench_function("scheduler_pf_64ues_fullbuffer", |b| {
+        b.iter(|| pf.schedule_dl_into(black_box(&full_buffer), &mut out))
+    });
+}
+
+fn bench_radio(c: &mut Criterion) {
+    let mut radio = RadioEnvironment::new();
+    for id in 1..=256u32 {
+        let fading = GaussMarkovFading::new(15.0, 4.0, 0.95, id as u64);
+        radio.register_ue(UeId(id), UeRadio::Process(Box::new(fading)));
+    }
+    let mut tti = Tti(0);
+    c.bench_function("radio_sinr_256ues", |b| {
+        b.iter(|| {
+            tti = tti.next();
+            for id in 1..=256u32 {
+                black_box(radio.sinr_db(UeId(id), tti));
+            }
+        })
+    });
 }
 
 fn bench_sim_tti(c: &mut Criterion) {
@@ -185,6 +230,7 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_vsf_swap, bench_proto, bench_rib_update, bench_scheduler, bench_sim_tti
+    targets = bench_vsf_swap, bench_proto, bench_rib_update, bench_scheduler, bench_radio,
+        bench_sim_tti
 }
 criterion_main!(benches);

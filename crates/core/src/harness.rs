@@ -252,22 +252,27 @@ fn drive_ue_traffic(
 ) {
     let Some(rnti) = entry.rnti else { return };
     let cell = entry.cell;
-    // Downlink.
-    if let Some(src) = entry.dl_source.as_mut() {
-        let queue = agent
-            .enb()
-            .dl_queue_bytes(cell, rnti)
-            .unwrap_or(Bytes::ZERO);
-        let due = src.bytes_due(now, queue);
-        if !due.is_zero() {
-            let _ = agent.enb_mut().inject_dl_traffic(cell, rnti, due, now);
+    if entry.dl_source.is_some() || entry.ul_source.is_some() {
+        // One context lookup serves the queue read and both injections.
+        // The sources are polled even if the context is gone (they keep
+        // their own pacing state); only the injection is skipped.
+        let mut ingress = agent.enb_mut().ue_ingress(cell, rnti).ok();
+        if let Some(src) = entry.dl_source.as_mut() {
+            let queue = ingress.as_ref().map_or(Bytes::ZERO, |i| i.dl_queue_bytes());
+            let due = src.bytes_due(now, queue);
+            if !due.is_zero() {
+                if let Some(i) = ingress.as_mut() {
+                    i.enqueue_dl(due, now);
+                }
+            }
         }
-    }
-    // Uplink.
-    if let Some(src) = entry.ul_source.as_mut() {
-        let due = src.bytes_due(now, Bytes::ZERO);
-        if !due.is_zero() {
-            let _ = agent.enb_mut().inject_ul_traffic(cell, rnti, due);
+        if let Some(src) = entry.ul_source.as_mut() {
+            let due = src.bytes_due(now, Bytes::ZERO);
+            if !due.is_zero() {
+                if let Some(i) = ingress.as_mut() {
+                    i.add_ul_backlog(due);
+                }
+            }
         }
     }
     // Measurement reports (geometry mode).
@@ -1224,6 +1229,34 @@ mod tests {
             "transparency: vanilla {v_mbps} vs flexran {f_mbps}"
         );
         let _ = ue_v;
+    }
+
+    #[test]
+    fn vanilla_harness_works_late_in_the_process_wide_id_sequence() {
+        // `VanillaHarness` ids come from one process-wide counter, so a
+        // harness created late registers ids far above its own UE count.
+        let mut burner =
+            VanillaHarness::new(EnbConfig::single_cell(EnbId(1)), EnbParams::default());
+        for _ in 0..3_000 {
+            burner.add_ue(CellId(0), UeRadioSpec::FixedCqi(1));
+        }
+        let mut vanilla =
+            VanillaHarness::new(EnbConfig::single_cell(EnbId(2)), EnbParams::default());
+        let (ue, rnti) = vanilla.add_ue(CellId(0), UeRadioSpec::FixedCqi(12));
+        assert!(ue.0 > 3_000, "{ue}");
+        assert_eq!(vanilla.radio.n_ues(), 1);
+        vanilla.run(100);
+        let now = vanilla.now();
+        vanilla
+            .enb
+            .inject_dl_traffic(CellId(0), rnti, Bytes(50_000), now)
+            .unwrap();
+        vanilla.run(200);
+        let stats = vanilla.enb.ue_stat(CellId(0), rnti).unwrap();
+        assert!(stats.connected);
+        // The registered channel is in force, not the -20 dB default.
+        assert_eq!(stats.cqi, Cqi(12));
+        assert!(stats.dl_delivered_bits > 0);
     }
 
     #[test]

@@ -125,9 +125,10 @@ impl ChannelProcess for TraceChannel {
 /// behind the throughput decay across Fig. 9's upper triangle.
 #[derive(Debug)]
 pub struct GaussMarkovFading {
-    pub mean_db: f64,
-    pub sigma_db: f64,
-    pub rho: f64,
+    mean_db: f64,
+    rho: f64,
+    /// `sqrt(1 - rho^2) * sigma`, the scale of each step's innovation.
+    innovation_db: f64,
     state_db: f64,
     last_tti: Option<Tti>,
     rng: StdRng,
@@ -135,10 +136,11 @@ pub struct GaussMarkovFading {
 
 impl GaussMarkovFading {
     pub fn new(mean_db: f64, sigma_db: f64, rho: f64, seed: u64) -> Self {
+        let rho = rho.clamp(0.0, 1.0);
         GaussMarkovFading {
             mean_db,
-            sigma_db,
-            rho: rho.clamp(0.0, 1.0),
+            rho,
+            innovation_db: (1.0 - rho * rho).sqrt() * sigma_db,
             state_db: mean_db,
             last_tti: None,
             rng: StdRng::seed_from_u64(seed),
@@ -154,9 +156,9 @@ impl GaussMarkovFading {
     }
 
     fn step_once(&mut self) {
-        let innovation = (1.0 - self.rho * self.rho).sqrt() * self.sigma_db;
         let n = self.standard_normal();
-        self.state_db = self.mean_db + self.rho * (self.state_db - self.mean_db) + innovation * n;
+        self.state_db =
+            self.mean_db + self.rho * (self.state_db - self.mean_db) + self.innovation_db * n;
     }
 }
 
@@ -233,12 +235,11 @@ mod tests {
 
     #[test]
     fn gauss_markov_sample_streams_are_pinned() {
-        // Digests taken from the implementation that recomputed
-        // sqrt(1 - rho^2) * sigma on every step; any change to the
-        // arithmetic or to the RNG draw order moves them. Per channel:
-        // every TTI in order; a pattern that skips TTIs (including jumps
-        // past the 256-step cap); every third TTI queried twice (the
-        // repeat query still advances the process once).
+        // Any change to the arithmetic or to the RNG draw order moves
+        // these digests. Per channel: every TTI in order; a pattern that
+        // skips TTIs (including jumps past the 256-step cap); every third
+        // TTI queried twice (the repeat query still advances the process
+        // once).
         let pins = [
             (
                 (15.0, 4.0, 0.95, 7u64),

@@ -6,7 +6,7 @@
 //! due to a bad modulation and coding scheme choice)", and the MEC use
 //! case, where CQI determines "the highest achievable throughput" of a UE.
 
-use crate::tables::{efficiency_for_itbs, itbs_for_mcs, CQI_TABLE, MAX_MCS};
+use crate::tables::{efficiency_for_itbs, itbs_for_mcs, tbs_bits_for_mcs, CQI_TABLE, MAX_MCS};
 
 /// A wideband channel quality indicator, 0..=15.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -19,6 +19,15 @@ impl Cqi {
     /// Construct with range clamping (reports are 4-bit fields).
     pub fn new_clamped(v: u8) -> Self {
         Cqi(v.min(15))
+    }
+
+    /// Row of the 16-entry CQI-indexed tables (values past 15 read as 15).
+    const fn table_index(self) -> usize {
+        if self.0 > 15 {
+            15
+        } else {
+            self.0 as usize
+        }
     }
 
     /// The spectral efficiency this CQI reports as sustainable.
@@ -70,8 +79,8 @@ const CQI_SINR_THRESHOLDS_DB: [f64; 16] = [
 ];
 
 /// Minimum SINR (dB) at which `cqi` would be reported.
-pub fn sinr_threshold_for_cqi(cqi: Cqi) -> f64 {
-    CQI_SINR_THRESHOLDS_DB[cqi.0.min(15) as usize]
+pub const fn sinr_threshold_for_cqi(cqi: Cqi) -> f64 {
+    CQI_SINR_THRESHOLDS_DB[cqi.table_index()]
 }
 
 /// The CQI a UE reports for a measured SINR: the highest CQI whose
@@ -108,30 +117,65 @@ pub fn sinr_for_cqi(cqi: Cqi) -> f64 {
 /// Spread linearly over the CQI table's SINR span (CQI 1's −6.7 dB at
 /// MCS 0 up to CQI 15's 22.7 dB at MCS 28, ≈1.05 dB per MCS step), the
 /// usual AWGN link-level calibration.
-pub fn mcs_operating_sinr_db(mcs: Mcs) -> f64 {
+pub const fn mcs_operating_sinr_db(mcs: Mcs) -> f64 {
     let lo = CQI_SINR_THRESHOLDS_DB[1];
     let hi = CQI_SINR_THRESHOLDS_DB[15];
-    lo + (hi - lo) * mcs.0.min(MAX_MCS) as f64 / MAX_MCS as f64
+    let m = if mcs.0 > MAX_MCS { MAX_MCS } else { mcs.0 };
+    lo + (hi - lo) * m as f64 / MAX_MCS as f64
 }
+
+/// The link-adaptation rule itself: the highest MCS whose operating point
+/// is no worse than the SINR the CQI attests to. Evaluated at compile
+/// time to fill [`MCS_FOR_CQI`]; nothing calls it per TTI.
+const fn scan_mcs_for_cqi(cqi: Cqi) -> Mcs {
+    if cqi.0 == 0 {
+        return Mcs(0);
+    }
+    let attested = sinr_threshold_for_cqi(cqi);
+    let mut best = 0;
+    let mut m = 0;
+    while m <= MAX_MCS && mcs_operating_sinr_db(Mcs(m)) <= attested + 1e-9 {
+        best = m;
+        m += 1;
+    }
+    Mcs(best)
+}
+
+/// [`scan_mcs_for_cqi`] for every CQI.
+const MCS_FOR_CQI: [Mcs; 16] = {
+    let mut table = [Mcs(0); 16];
+    let mut c = 0;
+    while c < 16 {
+        table[c] = scan_mcs_for_cqi(Cqi(c as u8));
+        c += 1;
+    }
+    table
+};
+
+/// Transport-block bits of a full 50-PRB (10 MHz) subframe at each CQI's
+/// MCS — the achievable-rate numerator of the proportional-fair metric.
+const FULL_BAND_TBS_BITS: [u32; 16] = {
+    let mut table = [0; 16];
+    let mut c = 0;
+    while c < 16 {
+        table[c] = tbs_bits_for_mcs(MCS_FOR_CQI[c].0, 50);
+        c += 1;
+    }
+    table
+};
 
 /// The MCS a scheduler selects for a reported CQI: the highest MCS whose
 /// operating point is no worse than the SINR the CQI attests to (the
 /// standard outer-loop-free link adaptation rule). A block scheduled this
 /// way is decodable at ≤ the target BLER when the report is fresh.
 pub fn mcs_for_cqi(cqi: Cqi) -> Mcs {
-    if cqi.0 == 0 {
-        return Mcs(0);
-    }
-    let attested = sinr_threshold_for_cqi(cqi);
-    let mut best = Mcs(0);
-    for m in 0..=MAX_MCS {
-        if mcs_operating_sinr_db(Mcs(m)) <= attested + 1e-9 {
-            best = Mcs(m);
-        } else {
-            break;
-        }
-    }
-    best
+    MCS_FOR_CQI[cqi.table_index()]
+}
+
+/// Bits one subframe carries at `cqi`'s MCS over the full 50-PRB band:
+/// `tbs_bits_for_mcs(mcs_for_cqi(cqi).0, 50)` as a lookup.
+pub fn full_band_tbs_bits(cqi: Cqi) -> u32 {
+    FULL_BAND_TBS_BITS[cqi.table_index()]
 }
 
 #[cfg(test)]
@@ -176,6 +220,19 @@ mod tests {
         assert_eq!(mcs_for_cqi(Cqi(15)), Mcs::MAX);
         assert_eq!(mcs_for_cqi(Cqi(0)), Mcs(0));
         assert_eq!(mcs_for_cqi(Cqi(1)), Mcs(0));
+    }
+
+    #[test]
+    fn cqi_tables_match_the_scan_for_every_u8() {
+        for c in 0..=255u8 {
+            let mcs = scan_mcs_for_cqi(Cqi(c));
+            assert_eq!(mcs_for_cqi(Cqi(c)), mcs, "CQI {c}");
+            assert_eq!(
+                full_band_tbs_bits(Cqi(c)),
+                tbs_bits_for_mcs(mcs.0, 50),
+                "CQI {c}"
+            );
+        }
     }
 
     #[test]

@@ -162,13 +162,13 @@ pub fn modulation_for_mcs(mcs: u8) -> Modulation {
 /// TBS index I_TBS for each PDSCH MCS index (TS 36.213 Table 7.1.7.1-1).
 ///
 /// MCS 9/10 and 16/17 map to the same I_TBS (the modulation switch points).
-pub fn itbs_for_mcs(mcs: u8) -> u8 {
+pub const fn itbs_for_mcs(mcs: u8) -> u8 {
     const ITBS: [u8; 29] = [
         0, 1, 2, 3, 4, 5, 6, 7, 8, 9, // QPSK
         9, 10, 11, 12, 13, 14, 15, // 16QAM
         15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, // 64QAM
     ];
-    ITBS[mcs.min(MAX_MCS) as usize]
+    ITBS[if mcs > MAX_MCS { MAX_MCS } else { mcs } as usize]
 }
 
 /// The 50-PRB column of the standard TBS table (TS 36.213 Table
@@ -199,18 +199,22 @@ pub fn efficiency_for_itbs(itbs: u8) -> f64 {
 /// (minimum 16 bits, the smallest entry of the standard table). The
 /// standard's own table is piecewise-proportional in `n_prb`, so the
 /// scaling error stays within a few percent — anchor-tested below.
-pub fn tbs_bits(itbs: u8, n_prb: u8) -> u32 {
+pub const fn tbs_bits(itbs: u8, n_prb: u8) -> u32 {
     if n_prb == 0 {
         return 0;
     }
-    let base = TBS_50PRB_BITS[itbs.min(MAX_ITBS) as usize] as u64;
+    let base = TBS_50PRB_BITS[if itbs > MAX_ITBS { MAX_ITBS } else { itbs } as usize] as u64;
     let bits = base * n_prb as u64 / 50;
     let byte_aligned = ((bits / 8) * 8) as u32;
-    byte_aligned.max(16)
+    if byte_aligned < 16 {
+        16
+    } else {
+        byte_aligned
+    }
 }
 
 /// Convenience: transport block size for an MCS index directly.
-pub fn tbs_bits_for_mcs(mcs: u8, n_prb: u8) -> u32 {
+pub const fn tbs_bits_for_mcs(mcs: u8, n_prb: u8) -> u32 {
     tbs_bits(itbs_for_mcs(mcs), n_prb)
 }
 

@@ -45,7 +45,10 @@ pub enum UeRadio {
 /// independent of thread interleaving.
 pub struct RadioEnvironment {
     env: Option<Environment>,
-    ues: BTreeMap<UeId, Mutex<UeRadio>>,
+    /// Slab indexed by `UeId`: the harness hands ids out sequentially,
+    /// so the per-measurement lookup is one bounds check. Ids nobody
+    /// registered are `None` holes.
+    ues: Vec<Option<Mutex<UeRadio>>>,
     /// Sites transmitting in the current subframe (geometry mode).
     active_sites: Vec<usize>,
     /// SINR for UEs nobody registered (harness bugs surface as terrible
@@ -64,7 +67,7 @@ impl RadioEnvironment {
     pub fn new() -> Self {
         RadioEnvironment {
             env: None,
-            ues: BTreeMap::new(),
+            ues: Vec::new(),
             active_sites: Vec::new(),
             default_sinr_db: -20.0,
         }
@@ -74,19 +77,27 @@ impl RadioEnvironment {
     pub fn with_geometry(env: Environment) -> Self {
         RadioEnvironment {
             env: Some(env),
-            ues: BTreeMap::new(),
-            active_sites: Vec::new(),
-            default_sinr_db: -20.0,
+            ..Self::new()
         }
     }
 
+    /// Register (or replace) a UE's radio. The slab grows to the highest
+    /// id registered, so ids should be dense — the harnesses' are.
     pub fn register_ue(&mut self, ue: UeId, radio: UeRadio) {
-        self.ues.insert(ue, Mutex::new(radio));
+        let i = ue.0 as usize;
+        if i >= self.ues.len() {
+            self.ues.resize_with(i + 1, || None);
+        }
+        self.ues[i] = Some(Mutex::new(radio));
+    }
+
+    fn ue(&self, ue: UeId) -> Option<&Mutex<UeRadio>> {
+        self.ues.get(ue.0 as usize)?.as_ref()
     }
 
     /// Re-home a geometry-mode UE after handover.
     pub fn set_serving_site(&self, ue: UeId, site: usize) {
-        if let Some(radio) = self.ues.get(&ue) {
+        if let Some(radio) = self.ue(ue) {
             if let UeRadio::Geo { serving_site, .. } = &mut *radio.lock() {
                 *serving_site = site;
             }
@@ -103,7 +114,7 @@ impl RadioEnvironment {
 
     /// SINR for a UE at `tti`.
     pub fn sinr_db(&self, ue: UeId, tti: Tti) -> f64 {
-        match self.ues.get(&ue) {
+        match self.ue(ue) {
             None => self.default_sinr_db,
             Some(radio) => match &mut *radio.lock() {
                 UeRadio::Process(p) => p.sinr_db(tti),
@@ -125,7 +136,7 @@ impl RadioEnvironment {
     /// feeds measurement reports for the mobility manager). Empty in
     /// process mode.
     pub fn rsrp_all_sites(&self, ue: UeId, tti: Tti) -> Vec<(usize, f64)> {
-        let Some(radio) = self.ues.get(&ue) else {
+        let Some(radio) = self.ue(ue) else {
             return Vec::new();
         };
         let UeRadio::Geo { mobility, .. } = &mut *radio.lock() else {
@@ -142,7 +153,7 @@ impl RadioEnvironment {
 
     /// Number of registered UEs.
     pub fn n_ues(&self) -> usize {
-        self.ues.len()
+        self.ues.iter().flatten().count()
     }
 }
 
@@ -183,9 +194,34 @@ mod tests {
     }
 
     #[test]
-    fn unknown_ue_gets_default() {
-        let radio = RadioEnvironment::new();
+    fn unregistered_ids_get_the_default() {
+        let mut radio = RadioEnvironment::new();
+        // Empty slab, a hole below a registered id, and past the end.
         assert_eq!(radio.sinr_db(UeId(9), Tti(0)), -20.0);
+        radio.register_ue(UeId(5), UeRadio::Process(Box::new(FixedCqi(Cqi(10)))));
+        radio.default_sinr_db = -33.0;
+        for missing in [0, 4, 6, 9, u32::MAX] {
+            assert_eq!(
+                radio.sinr_db(UeId(missing), Tti(0)),
+                -33.0,
+                "UeId({missing})"
+            );
+            assert!(radio.rsrp_all_sites(UeId(missing), Tti(0)).is_empty());
+            radio.set_serving_site(UeId(missing), 1); // must not panic
+        }
+        assert_eq!(radio.n_ues(), 1);
+    }
+
+    #[test]
+    fn re_registering_replaces_without_double_counting() {
+        let mut radio = RadioEnvironment::new();
+        radio.register_ue(UeId(2), UeRadio::Process(Box::new(FixedCqi(Cqi(4)))));
+        radio.register_ue(UeId(1), UeRadio::Process(Box::new(FixedCqi(Cqi(7)))));
+        assert_eq!(radio.n_ues(), 2);
+        radio.register_ue(UeId(2), UeRadio::Process(Box::new(FixedCqi(Cqi(12)))));
+        assert_eq!(radio.n_ues(), 2);
+        assert_eq!(cqi_from_sinr(radio.sinr_db(UeId(2), Tti(0))), Cqi(12));
+        assert_eq!(cqi_from_sinr(radio.sinr_db(UeId(1), Tti(0))), Cqi(7));
     }
 
     #[test]

@@ -239,6 +239,9 @@ fn push_feedback(
     }
 }
 
+/// A re-attach waiting out its backoff: `(due TTI, ue, slice, group)`.
+type PendingRach = (u64, UeId, SliceId, u8);
+
 struct CellState {
     config: CellConfig,
     abs_pattern: Option<AbsPattern>,
@@ -263,7 +266,12 @@ struct CellState {
     grant_pool: Vec<Vec<UlGrant>>,
     current_retx: Vec<PendingRetx>,
     retx_prbs: u8,
-    scheduled_rach: Vec<(u64, UeId, SliceId, u8)>,
+    /// Backed-off re-attaches, `(due TTI, ue, slice, group)`, in the
+    /// order they were scheduled.
+    scheduled_rach: Vec<PendingRach>,
+    /// The entries of `scheduled_rach` due this TTI (scratch, refilled by
+    /// [`CellState::take_due_rach`]; its capacity is reused).
+    due_rach: Vec<PendingRach>,
     stats: CellStats,
     next_rnti: u16,
     muted_now: bool,
@@ -284,6 +292,7 @@ impl CellState {
             current_retx: Vec::new(),
             retx_prbs: 0,
             scheduled_rach: Vec::new(),
+            due_rach: Vec::new(),
             stats: CellStats::default(),
             next_rnti: Rnti::CRNTI_MIN + 0xC3, // 0x100
             muted_now: false,
@@ -312,6 +321,21 @@ impl CellState {
 
     fn remove_ue(&mut self, rnti: Rnti) -> Option<UeContext> {
         self.ue_idx(rnti).map(|i| self.ues.remove(i))
+    }
+
+    /// Move the re-attaches due at `tti` from `scheduled_rach` into
+    /// `due_rach`, both keeping their relative (insertion) order. Splits
+    /// in place: a backing-off UE costs no allocation per TTI.
+    fn take_due_rach(&mut self, tti: Tti) {
+        self.due_rach.clear();
+        let due_rach = &mut self.due_rach;
+        self.scheduled_rach.retain(|&entry| {
+            let due = entry.0 <= tti.0;
+            if due {
+                due_rach.push(entry);
+            }
+            !due
+        });
     }
 
     fn is_abs(&self, tti: Tti) -> bool {
@@ -363,6 +387,30 @@ impl CellState {
             at: now,
         });
         rnti
+    }
+}
+
+/// One UE's traffic ingress (EPC side and UE side), borrowed from
+/// [`Enb::ue_ingress`].
+pub struct UeIngress<'a> {
+    ctx: &'a mut UeContext,
+}
+
+impl UeIngress<'_> {
+    /// The UE's downlink data-queue occupancy.
+    pub fn dl_queue_bytes(&self) -> Bytes {
+        self.ctx.drb.buffer_occupancy()
+    }
+
+    /// Downlink traffic from the core network for the UE's data bearer.
+    pub fn enqueue_dl(&mut self, payload: Bytes, now: Tti) {
+        let pdu = self.ctx.pdcp_dl.submit(payload, now);
+        self.ctx.drb.enqueue(pdu.size, now);
+    }
+
+    /// Uplink backlog generated at the UE.
+    pub fn add_ul_backlog(&mut self, payload: Bytes) {
+        self.ctx.ul_backlog += payload.as_u64();
     }
 }
 
@@ -593,6 +641,16 @@ impl Enb {
     // Traffic ingress (EPC side / UE side)
     // ------------------------------------------------------------------
 
+    /// A UE's traffic ingress: one context lookup, then any number of
+    /// queue reads and injections (the per-TTI pacing loop needs three).
+    pub fn ue_ingress(&mut self, cell: CellId, rnti: Rnti) -> Result<UeIngress<'_>> {
+        let ctx = self
+            .cell_mut(cell)?
+            .ue_mut(rnti)
+            .ok_or_else(|| FlexError::NotFound(format!("{rnti}")))?; // lint:allow(alloc-reach) error path
+        Ok(UeIngress { ctx })
+    }
+
     /// Downlink traffic from the core network for a UE's data bearer.
     pub fn inject_dl_traffic(
         &mut self,
@@ -601,22 +659,13 @@ impl Enb {
         payload: Bytes,
         now: Tti,
     ) -> Result<()> {
-        let ctx = self
-            .cell_mut(cell)?
-            .ue_mut(rnti)
-            .ok_or_else(|| FlexError::NotFound(format!("{rnti}")))?; // lint:allow(alloc-reach) error path
-        let pdu = ctx.pdcp_dl.submit(payload, now);
-        ctx.drb.enqueue(pdu.size, now);
+        self.ue_ingress(cell, rnti)?.enqueue_dl(payload, now);
         Ok(())
     }
 
     /// Uplink backlog generated at the UE.
     pub fn inject_ul_traffic(&mut self, cell: CellId, rnti: Rnti, payload: Bytes) -> Result<()> {
-        let ctx = self
-            .cell_mut(cell)?
-            .ue_mut(rnti)
-            .ok_or_else(|| FlexError::NotFound(format!("{rnti}")))?; // lint:allow(alloc-reach) error path
-        ctx.ul_backlog += payload.as_u64();
+        self.ue_ingress(cell, rnti)?.add_ul_backlog(payload);
         Ok(())
     }
 
@@ -843,14 +892,9 @@ impl Enb {
             }
 
             // Scheduled (re-)RACHes.
-            let due: Vec<_> = {
-                let (due, keep): (Vec<_>, Vec<_>) =
-                    // lint:allow(alloc-reach) partitions allocate only when a RACH is due
-                    c.scheduled_rach.drain(..).partition(|(t, ..)| *t <= tti.0);
-                c.scheduled_rach = keep;
-                due
-            };
-            for (_, ue_tag, slice, group) in due {
+            c.take_due_rach(tti);
+            for i in 0..c.due_rach.len() {
+                let (_, ue_tag, slice, group) = c.due_rach[i];
                 c.do_rach(ue_tag, slice, group, tti, &params.timers, &mut events);
             }
 
@@ -1547,6 +1591,53 @@ mod tests {
             events.iter().any(|ev| ev.kind() == "attach"),
             "retried attach should succeed: {events:?}"
         );
+    }
+
+    #[test]
+    fn due_rach_fires_in_insertion_order_and_splits_in_place() {
+        let mut e = enb();
+        let mut phy = StaticPhyView(20.0);
+        let fired = |e: &mut Enb| -> Vec<u32> {
+            e.take_events()
+                .iter()
+                .filter_map(|ev| match ev {
+                    EnbEvent::RachAttempt { ue, .. } => Some(ue.0),
+                    _ => None,
+                })
+                .collect()
+        };
+        let waiting = |e: &Enb| -> Vec<u32> {
+            let rach = &e.cells[0].scheduled_rach;
+            rach.iter().map(|(_, ue, ..)| ue.0).collect()
+        };
+        for (due, ue) in [(10, 1), (50, 2), (10, 3), (9, 4), (50, 5), (10, 6)] {
+            e.cells[0]
+                .scheduled_rach
+                .push((due, UeId(ue), SliceId::MNO, 0));
+        }
+        e.begin_tti(Tti(5), &mut phy);
+        assert!(fired(&mut e).is_empty());
+        assert_eq!(waiting(&e), [1, 2, 3, 4, 5, 6]);
+
+        e.begin_tti(Tti(10), &mut phy);
+        assert_eq!(fired(&mut e), [1, 3, 4, 6], "due entries, insertion order");
+        assert_eq!(waiting(&e), [2, 5], "not-due entries survive, in order");
+
+        let buffers = |e: &Enb| {
+            let c = &e.cells[0];
+            (
+                (c.scheduled_rach.as_ptr(), c.scheduled_rach.capacity()),
+                (c.due_rach.as_ptr(), c.due_rach.capacity()),
+            )
+        };
+        let before = buffers(&e);
+        e.cells[0]
+            .scheduled_rach
+            .push((60, UeId(7), SliceId::MNO, 0));
+        e.begin_tti(Tti(60), &mut phy);
+        assert_eq!(fired(&mut e), [2, 5, 7]);
+        assert!(waiting(&e).is_empty());
+        assert_eq!(buffers(&e), before, "both buffers are reused, not rebuilt");
     }
 
     #[test]

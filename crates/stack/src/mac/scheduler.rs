@@ -14,7 +14,7 @@
 //! Three baselines ship with the data plane: round-robin,
 //! proportional-fair and max-CQI.
 
-use flexran_phy::link_adaptation::{mcs_for_cqi, Cqi, Mcs};
+use flexran_phy::link_adaptation::{full_band_tbs_bits, mcs_for_cqi, Cqi, Mcs};
 use flexran_phy::tables::{itbs_for_mcs, tbs_bits};
 use flexran_types::ids::{CellId, Rnti, SliceId};
 use flexran_types::time::Tti;
@@ -214,15 +214,26 @@ pub trait UlScheduler: Send {
 }
 
 /// Minimum PRBs at `mcs` whose transport block covers `bytes`
-/// (clamped to `max_prb`; at least 1).
+/// (clamped to `max_prb`; at least 1). `tbs_bits` is non-decreasing in
+/// the PRB count, so the answer is found by bisection; a request the
+/// whole allocation cannot cover (every full-buffer UE) costs one probe.
 pub fn prbs_for_bytes(mcs: Mcs, bytes: Bytes, max_prb: u8) -> u8 {
     let need_bits = bytes.bits();
-    for p in 1..=max_prb {
-        if tbs_bits(itbs_for_mcs(mcs.0), p) as u64 >= need_bits {
-            return p;
+    let itbs = itbs_for_mcs(mcs.0);
+    if max_prb == 0 || (tbs_bits(itbs, max_prb) as u64) < need_bits {
+        return max_prb.max(1);
+    }
+    // Invariant: `hi` PRBs cover the request, `lo` do not (0 never count).
+    let (mut lo, mut hi) = (0, max_prb);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if tbs_bits(itbs, mid) as u64 >= need_bits {
+            hi = mid;
+        } else {
+            lo = mid;
         }
     }
-    max_prb.max(1)
+    hi
 }
 
 /// Shared helper: give every UE with signalling backlog a small
@@ -252,17 +263,90 @@ pub fn allocate_srbs(input: &DlSchedulerInput, dcis: &mut Vec<DlDci>, mut prb_le
     prb_left
 }
 
+/// A UE a data grant can go to: data backlog, a usable channel, and no
+/// DCI yet this subframe.
+fn wants_data_grant(ue: &UeSchedInfo, dcis: &[DlDci]) -> bool {
+    !ue.queue_bytes.is_zero() && ue.cqi.0 > 0 && !dcis.iter().any(|d| d.rnti == ue.rnti)
+}
+
 /// Shared helper: fill `cand` with the indices (into `input.ues`) of
 /// UEs with data backlog, a usable channel, and no DCI yet. Index-based
 /// so schedulers can keep one scratch `Vec<usize>` across TTIs instead
 /// of collecting a fresh reference `Vec` every subframe.
 pub fn backlogged_into(input: &DlSchedulerInput, dcis: &[DlDci], cand: &mut Vec<usize>) {
     cand.clear();
-    cand.extend(input.ues.iter().enumerate().filter_map(|(i, u)| {
-        let want =
-            !u.queue_bytes.is_zero() && u.cqi.0 > 0 && !dcis.iter().any(|d| d.rnti == u.rnti);
-        want.then_some(i)
-    }));
+    cand.extend(
+        input
+            .ues
+            .iter()
+            .enumerate()
+            .filter(|(_, u)| wants_data_grant(u, dcis))
+            .map(|(i, _)| i),
+    );
+}
+
+/// Rank-once half of the metric schedulers: fill `ranked` with
+/// `(key(ue), index into input.ues)` for every UE a data grant can go
+/// to. `key` runs exactly once per candidate per pass.
+fn rank_backlogged<K>(
+    input: &DlSchedulerInput,
+    dcis: &[DlDci],
+    ranked: &mut Vec<(K, usize)>,
+    key: impl Fn(&UeSchedInfo) -> K,
+) {
+    ranked.clear();
+    ranked.extend(
+        input
+            .ues
+            .iter()
+            .enumerate()
+            .filter(|(_, u)| wants_data_grant(u, dcis))
+            // lint:alloc-free-callee both callers pass pure arithmetic on the UE's fields
+            .map(|(i, u)| (key(u), i)),
+    );
+}
+
+/// Top-k half of the metric schedulers: serve `ranked` best first — by
+/// `(key descending, RNTI ascending)` — each UE taking what its queue
+/// needs of the PRBs left, until PRBs or the DCI budget run out.
+///
+/// Only the UEs actually granted are ever ordered: each grant takes the
+/// best remaining candidate with one linear scan. At most `max_dcis`
+/// (≤ 10) grants fit in a subframe, and with full-buffer UEs the first
+/// one takes the whole band, so this is one pass over the candidates
+/// where a sort would order all of them.
+///
+/// The emitted DCI sequence is the one a full sort by the same order
+/// yields, because `(key desc, rnti asc)` is a strict total order: RNTIs
+/// are unique within a cell, and keys compare totally — CQIs are
+/// integers, and the PF metric is never NaN (see
+/// [`ProportionalFairScheduler`]). Under a strict total order "the
+/// maximum of what remains" is unique at every step, whatever the
+/// algorithm that finds it.
+fn grant_best_first<K: PartialOrd + Copy>(
+    input: &DlSchedulerInput,
+    ranked: &mut Vec<(K, usize)>,
+    dcis: &mut Vec<DlDci>,
+    mut prb_left: u8,
+) {
+    while prb_left > 0 && dcis.len() < input.max_dcis as usize && !ranked.is_empty() {
+        let mut best = 0;
+        for (i, &(key, u)) in ranked.iter().enumerate().skip(1) {
+            let (best_key, best_u) = ranked[best];
+            if key > best_key || (key == best_key && input.ues[u].rnti < input.ues[best_u].rnti) {
+                best = i;
+            }
+        }
+        let ue = &input.ues[ranked.swap_remove(best).1];
+        let mcs = mcs_for_cqi(ue.cqi);
+        let want = prbs_for_bytes(mcs, Bytes(ue.queue_bytes.as_u64() + 8), prb_left);
+        dcis.push(DlDci {
+            rnti: ue.rnti,
+            n_prb: want,
+            mcs,
+        });
+        prb_left -= want;
+    }
 }
 
 /// Round-robin: equal PRB shares for backlogged UEs, rotating the starting
@@ -320,19 +404,26 @@ impl DlScheduler for RoundRobinScheduler {
 
 /// Proportional fair: rank by achievable-rate / average-rate, then grant
 /// greedily until PRBs or DCIs run out.
+///
+/// The metric `full-band rate / max(avg_rate, 1)^exponent` is computed
+/// once per candidate per subframe and is never NaN: the rate is a
+/// positive table entry, `max(·, 1.0)` maps a NaN average to 1, and the
+/// exponent — private, so [`DlScheduler::set_param`]'s `0..=2` check is
+/// the only way in — keeps `base^exponent` in `[1, +inf]`. That makes the
+/// ranking a strict total order, which [`grant_best_first`] relies on.
 #[derive(Debug)]
 pub struct ProportionalFairScheduler {
     /// Fairness exponent on the average-rate denominator (1.0 = classic
     /// PF; 0.0 degenerates to max-rate). Runtime-reconfigurable.
-    pub fairness_exponent: f64,
-    cand: Vec<usize>,
+    fairness_exponent: f64,
+    ranked: Vec<(f64, usize)>,
 }
 
 impl Default for ProportionalFairScheduler {
     fn default() -> Self {
         ProportionalFairScheduler {
             fairness_exponent: 1.0,
-            cand: Vec::new(),
+            ranked: Vec::new(),
         }
     }
 }
@@ -340,12 +431,6 @@ impl Default for ProportionalFairScheduler {
 impl ProportionalFairScheduler {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn metric(&self, ue: &UeSchedInfo) -> f64 {
-        let mcs = mcs_for_cqi(ue.cqi);
-        let rate = tbs_bits(itbs_for_mcs(mcs.0), 50) as f64; // per-TTI at full band
-        rate / ue.avg_rate_bps.max(1.0).powf(self.fairness_exponent)
     }
 }
 
@@ -356,31 +441,12 @@ impl DlScheduler for ProportionalFairScheduler {
 
     fn schedule_dl_into(&mut self, input: &DlSchedulerInput, out: &mut DlSchedulerOutput) {
         out.dcis.clear();
-        let mut prb_left = allocate_srbs(input, &mut out.dcis, input.available_prb);
-        let mut cand = std::mem::take(&mut self.cand);
-        backlogged_into(input, &out.dcis, &mut cand);
-        cand.sort_unstable_by(|&a, &b| {
-            let (a, b) = (&input.ues[a], &input.ues[b]);
-            self.metric(b)
-                .partial_cmp(&self.metric(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.rnti.cmp(&b.rnti))
+        let prb_left = allocate_srbs(input, &mut out.dcis, input.available_prb);
+        let exponent = self.fairness_exponent;
+        rank_backlogged(input, &out.dcis, &mut self.ranked, |ue| {
+            full_band_tbs_bits(ue.cqi) as f64 / ue.avg_rate_bps.max(1.0).powf(exponent)
         });
-        for &i in &cand {
-            if prb_left == 0 || out.dcis.len() >= input.max_dcis as usize {
-                break;
-            }
-            let ue = &input.ues[i];
-            let mcs = mcs_for_cqi(ue.cqi);
-            let want = prbs_for_bytes(mcs, Bytes(ue.queue_bytes.as_u64() + 8), prb_left);
-            out.dcis.push(DlDci {
-                rnti: ue.rnti,
-                n_prb: want,
-                mcs,
-            });
-            prb_left -= want;
-        }
-        self.cand = cand;
+        grant_best_first(input, &mut self.ranked, &mut out.dcis, prb_left);
     }
 
     fn set_param(&mut self, key: &str, value: ParamValue) -> Result<()> {
@@ -415,7 +481,7 @@ impl DlScheduler for ProportionalFairScheduler {
 /// starvation-prone — the textbook baseline).
 #[derive(Debug, Default)]
 pub struct MaxCqiScheduler {
-    cand: Vec<usize>,
+    ranked: Vec<(Cqi, usize)>,
 }
 
 impl MaxCqiScheduler {
@@ -431,26 +497,9 @@ impl DlScheduler for MaxCqiScheduler {
 
     fn schedule_dl_into(&mut self, input: &DlSchedulerInput, out: &mut DlSchedulerOutput) {
         out.dcis.clear();
-        let mut prb_left = allocate_srbs(input, &mut out.dcis, input.available_prb);
-        backlogged_into(input, &out.dcis, &mut self.cand);
-        self.cand.sort_unstable_by(|&a, &b| {
-            let (a, b) = (&input.ues[a], &input.ues[b]);
-            b.cqi.cmp(&a.cqi).then(a.rnti.cmp(&b.rnti))
-        });
-        for &i in &self.cand {
-            if prb_left == 0 || out.dcis.len() >= input.max_dcis as usize {
-                break;
-            }
-            let ue = &input.ues[i];
-            let mcs = mcs_for_cqi(ue.cqi);
-            let want = prbs_for_bytes(mcs, Bytes(ue.queue_bytes.as_u64() + 8), prb_left);
-            out.dcis.push(DlDci {
-                rnti: ue.rnti,
-                n_prb: want,
-                mcs,
-            });
-            prb_left -= want;
-        }
+        let prb_left = allocate_srbs(input, &mut out.dcis, input.available_prb);
+        rank_backlogged(input, &out.dcis, &mut self.ranked, |ue| ue.cqi);
+        grant_best_first(input, &mut self.ranked, &mut out.dcis, prb_left);
     }
 }
 
@@ -556,6 +605,38 @@ mod tests {
             assert!(tbs_bits(itbs_for_mcs(mcs.0), p) as u64 >= 4000 || p == 50);
         }
         assert_eq!(prbs_for_bytes(Mcs(0), Bytes(0), 50), 1);
+    }
+
+    #[test]
+    fn prbs_for_bytes_matches_linear_probe() {
+        // The definition: probe 1, 2, … PRBs until the block covers the
+        // request; `max_prb.max(1)` when nothing does (so 0 PRBs → 1).
+        let linear = |mcs: Mcs, bytes: u64, max_prb: u8| {
+            (1..=max_prb)
+                .find(|&p| tbs_bits(itbs_for_mcs(mcs.0), p) as u64 >= bytes * 8)
+                .unwrap_or(max_prb.max(1))
+        };
+        for m in 0..=28u8 {
+            let mcs = Mcs(m);
+            // Every block size the MCS can produce, ±1 byte, plus a
+            // coarse sweep that runs past the largest block (10 091 B).
+            let mut grid: Vec<u64> = (0..=12_000).step_by(97).collect();
+            for p in 0..=110u8 {
+                let block = tbs_bits(itbs_for_mcs(m), p) as u64 / 8;
+                grid.extend([block.saturating_sub(1), block, block + 1]);
+            }
+            for max_prb in 0..=110u8 {
+                for &bytes in &grid {
+                    assert_eq!(
+                        prbs_for_bytes(mcs, Bytes(bytes), max_prb),
+                        linear(mcs, bytes, max_prb),
+                        "mcs {m}, {bytes} B, max {max_prb} PRB"
+                    );
+                }
+            }
+        }
+        assert_eq!(prbs_for_bytes(Mcs(9), Bytes(0), 0), 1);
+        assert_eq!(prbs_for_bytes(Mcs(9), Bytes(1_000_000), 0), 1);
     }
 
     #[test]

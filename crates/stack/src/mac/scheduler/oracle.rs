@@ -260,7 +260,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
     #[test]
-    #[ignore = "deep run: cargo test --release -p flexran-stack oracle -- --ignored"]
+    #[ignore = "deep run: cargo test --release -p flexran-stack --lib mac::scheduler::oracle -- --ignored"]
     fn deep_pf_matches_reference(
         inputs in proptest::collection::vec(input_strategy(), 3..4),
         exponent in 0usize..EXPONENTS.len(),
@@ -269,7 +269,7 @@ proptest! {
     }
 
     #[test]
-    #[ignore = "deep run: cargo test --release -p flexran-stack oracle -- --ignored"]
+    #[ignore = "deep run: cargo test --release -p flexran-stack --lib mac::scheduler::oracle -- --ignored"]
     fn deep_max_cqi_matches_reference(
         inputs in proptest::collection::vec(input_strategy(), 3..4),
     ) {
@@ -277,7 +277,7 @@ proptest! {
     }
 
     #[test]
-    #[ignore = "deep run: cargo test --release -p flexran-stack oracle -- --ignored"]
+    #[ignore = "deep run: cargo test --release -p flexran-stack --lib mac::scheduler::oracle -- --ignored"]
     fn deep_rr_matches_reference_over_20_ttis(
         inputs in proptest::collection::vec(input_strategy(), 20..21),
     ) {
