@@ -33,6 +33,9 @@ cargo test --quiet --release -p flexran --features debug-invariants --test maste
 echo "==> scheduler differential oracle, deep run (4 096 cases per scheduler vs the naive references)"
 cargo test --quiet --release -p flexran-stack --lib mac::scheduler::oracle -- --ignored
 
+echo "==> journal recovery equivalence, deep run (1 024 journaled runs, recovered forest == live forest)"
+cargo test --quiet --release -p flexran --test recovery_equivalence -- --ignored
+
 echo "==> allocation-regression gates (2x32 local: 0 allocs/TTI; 2x16 remote-scheduled, per-TTI full reports, journal on: 34 allocs/TTI)"
 cargo run --quiet --release -p flexran-bench --bin experiments -- \
     allocgate --out target/check-allocgate
