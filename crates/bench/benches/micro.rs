@@ -5,9 +5,14 @@
 //! * `proto_*` — FlexRAN protocol encode/decode of the worst-case
 //!   statistics report (what the Fig. 7 load consists of), at 16 UEs
 //!   (the `central_ctrl` benchmark cell, into a kept writer) and 50 UEs.
+//! * `crc32_3700b` — the envelope integrity check over a 3.7 kB envelope
+//!   (the 16-UE report; paid once on encode and once on decode).
 //! * `rib_update` — one full stats report applied by the single-writer
 //!   RIB updater (the Fig. 8 core-components cost).
-//! * `journal_delta` — the same report appended to the RIB journal.
+//! * `journal_delta` — the same report encoded into the RIB journal (the
+//!   path for messages whose envelope is not at hand), and
+//!   `journal_append_envelope` — its received envelope appended verbatim
+//!   (what the master does with reports off a sim link).
 //! * `scheduler_*` — one TTI of downlink scheduling at 50 UEs, and the
 //!   `dense_local` shape: 64 full-buffer UEs with distinct average rates
 //!   through proportional-fair into a kept output.
@@ -29,7 +34,7 @@ use flexran::phy::link_adaptation::Cqi;
 use flexran::prelude::*;
 use flexran::proto::messages::stats::{ReportFlags, StatsReply, UeReport};
 use flexran::proto::messages::{FlexranMessage, Header, Hello};
-use flexran::proto::wire::WireWriter;
+use flexran::proto::wire::{crc32, WireWriter};
 use flexran::sim::radio::{RadioEnvironment, UeRadio};
 use flexran::sim::traffic::CbrSource;
 use flexran::stack::mac::scheduler::{
@@ -107,6 +112,10 @@ fn bench_proto(c: &mut Criterion) {
             b.iter(|| black_box(FlexranMessage::decode(&bytes).unwrap()))
         });
     }
+    let envelope: Vec<u8> = (0..3_700u32).map(|i| (i * 31 + 7) as u8).collect();
+    c.bench_function("crc32_3700b", |b| {
+        b.iter(|| black_box(crc32(black_box(&envelope))))
+    });
 }
 
 fn bench_rib_update(c: &mut Criterion) {
@@ -135,6 +144,17 @@ fn bench_rib_update(c: &mut Criterion) {
             appended += 1;
             if appended.is_multiple_of(1_000) {
                 journal.compact(&rib); // what a running master does
+            }
+        })
+    });
+    let envelope = msg.encode(Header::with_xid(1));
+    let mut appended = 0u64;
+    c.bench_function("journal_append_envelope_16ues", |b| {
+        b.iter(|| {
+            journal.record_delta_envelope(EnbId(1), Tti(1), black_box(&envelope));
+            appended += 1;
+            if appended.is_multiple_of(1_000) {
+                journal.compact(&rib);
             }
         })
     });

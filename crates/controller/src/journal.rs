@@ -26,6 +26,16 @@
 //! replay: every record funnels through [`RibUpdater::apply`], the same
 //! single writer that built the RIB the first time.
 //!
+//! A delta record's payload is the envelope as it was received
+//! ([`RibJournal::record_delta_envelope`]): the bytes the updater's
+//! message was decoded from, so a report is serialized once, by its
+//! sender, and never re-encoded for the log. Its header therefore carries
+//! the sender's `xid`, where synthesized records carry the default
+//! header; recovery ignores headers. Messages whose envelope is not at
+//! hand — the `Hello` the master's pre-hello drain hands to a shard, or
+//! anything from a transport that does not lend envelopes — are encoded
+//! by [`RibJournal::record_delta`] instead.
+//!
 //! ## Snapshot synthesis
 //!
 //! Rather than inventing a second serialization of the RIB forest, the
@@ -97,16 +107,21 @@ pub struct RibJournal {
     compactions: u64,
 }
 
+/// Append the 17-byte header of a record whose payload is `len` bytes.
+fn append_record_header(buf: &mut Vec<u8>, tag: u8, enb: EnbId, tti: Tti, len: u32) {
+    buf.push(tag);
+    buf.extend_from_slice(&enb.0.to_be_bytes());
+    buf.extend_from_slice(&tti.0.to_be_bytes());
+    buf.extend_from_slice(&len.to_be_bytes());
+}
+
 /// Append one record to a section. The envelope is encoded in place,
 /// straight behind the record header (the section lends its buffer to a
 /// writer for the duration), and the length is patched in afterwards —
 /// no intermediate buffer, no copy.
 fn append_record(buf: &mut Vec<u8>, tag: u8, enb: EnbId, tti: Tti, msg: &FlexranMessage) {
-    buf.push(tag);
-    buf.extend_from_slice(&enb.0.to_be_bytes());
-    buf.extend_from_slice(&tti.0.to_be_bytes());
-    let len_pos = buf.len();
-    buf.extend_from_slice(&[0; 4]);
+    append_record_header(buf, tag, enb, tti, 0);
+    let len_pos = buf.len() - 4;
     let mut w = WireWriter::from_vec(std::mem::take(buf));
     msg.encode_append(Header::default(), &mut w);
     *buf = w.into_vec();
@@ -233,9 +248,20 @@ impl RibJournal {
     }
 
     /// Journal one RIB-mutating agent message (called right after the
-    /// updater folds it).
+    /// updater folds it) by encoding it — for messages whose received
+    /// envelope is not at hand (see [`Self::record_delta_envelope`]).
     pub fn record_delta(&mut self, enb: EnbId, now: Tti, msg: &FlexranMessage) {
         append_record(&mut self.deltas, TAG_RIB, enb, now, msg);
+        self.deltas_recorded += 1;
+    }
+
+    /// Journal one RIB-mutating agent message as the envelope it arrived
+    /// in, byte for byte (called right after the updater folds the
+    /// message `envelope` decoded to). Recovery decodes it to that same
+    /// message; the sender's header rides along and is ignored.
+    pub fn record_delta_envelope(&mut self, enb: EnbId, now: Tti, envelope: &[u8]) {
+        append_record_header(&mut self.deltas, TAG_RIB, enb, now, envelope.len() as u32);
+        self.deltas.extend_from_slice(envelope);
         self.deltas_recorded += 1;
     }
 
@@ -306,10 +332,13 @@ impl RibJournal {
         if !self.rollout.is_empty() {
             // Same record framing as every other kind, raw payload: the
             // rollout state has no eNodeB or TTI of its own.
-            out.push(TAG_ROLLOUT);
-            out.extend_from_slice(&0u32.to_be_bytes());
-            out.extend_from_slice(&0u64.to_be_bytes());
-            out.extend_from_slice(&(self.rollout.len() as u32).to_be_bytes());
+            append_record_header(
+                &mut out,
+                TAG_ROLLOUT,
+                EnbId(0),
+                Tti::ZERO,
+                self.rollout.len() as u32,
+            );
             out.extend_from_slice(&self.rollout);
         }
         out.extend_from_slice(&self.deltas);
@@ -620,6 +649,86 @@ mod tests {
         populate(&mut rib, &mut up, &mut j);
         let state = RibJournal::parse(&j.bytes()).unwrap();
         assert_eq!(rebuild(&state), rib);
+    }
+
+    #[test]
+    fn verbatim_envelope_record_parses_to_the_decoded_message() {
+        use flexran_proto::inline::InlineVec;
+        use flexran_proto::messages::stats::RlcReport;
+        use flexran_proto::messages::PROTOCOL_VERSION;
+        use flexran_proto::wire::{crc32, WireReader};
+
+        fn field(data: &[u8], want: u32) -> &[u8] {
+            let mut r = WireReader::new(data);
+            while let Some((f, v)) = r.next_field().unwrap() {
+                if f == want {
+                    return v.as_bytes().unwrap();
+                }
+            }
+            panic!("no field {want}");
+        }
+
+        // Every repeated field of the report at its capacity.
+        let report = UeReport {
+            rnti: 0x1FF,
+            connected: true,
+            wideband_cqi: 15,
+            subband_cqi: InlineVec::full(15),
+            subband_cqi_cw1: InlineVec::full(14),
+            bsr: InlineVec::full(63),
+            rlc: InlineVec::full(RlcReport {
+                lcid: 3,
+                tx_queue_bytes: u64::MAX,
+                hol_delay_ms: 40,
+                status_pdu_bytes: 9,
+            }),
+            harq_states: InlineVec::full(1),
+            harq_rounds: InlineVec::full(3),
+            tbs_per_process: InlineVec::full(u32::MAX),
+            ul_subband_sinr: InlineVec::full(1_400),
+            active_scells: InlineVec::full(7),
+            ..UeReport::default()
+        };
+        let msg = FlexranMessage::StatsReply(StatsReply {
+            enb_id: EnbId(1),
+            tti: 77,
+            cells: vec![],
+            ues: vec![report],
+        });
+        // What a future sender might put on the wire: the same report
+        // plus a field this decoder does not know, under a non-zero xid.
+        let plain = msg.encode(Header::default());
+        let ue = field(field(&plain, 17), 4);
+        let mut unknown = WireWriter::new();
+        unknown.uint(99, 12_345);
+        let mut ue_ext = ue.to_vec();
+        ue_ext.extend_from_slice(unknown.as_slice());
+        let mut w = WireWriter::new();
+        w.message(1, |h| {
+            h.uint(1, PROTOCOL_VERSION as u64);
+            h.uint(2, 0xBEEF);
+        });
+        w.message(17, |reply| {
+            reply.uint(1, 1);
+            reply.uint(2, 77);
+            reply.bytes_field(4, &ue_ext);
+        });
+        let crc = crc32(w.as_slice());
+        w.fixed32_always(2, crc);
+        let envelope = w.finish();
+        let (header, decoded) = FlexranMessage::decode(&envelope).unwrap();
+        assert_eq!(header.xid, 0xBEEF);
+        assert_eq!(decoded, msg, "the unknown field is skipped");
+
+        let mut j = RibJournal::new(1000);
+        j.record_delta_envelope(EnbId(1), Tti(9), &envelope);
+        let bytes = j.bytes();
+        assert!(bytes.ends_with(&envelope), "the payload is the envelope");
+        let state = RibJournal::parse(&bytes).unwrap();
+        assert_eq!(state.rib_records.len(), 1);
+        let r = &state.rib_records[0];
+        assert_eq!((r.enb, r.tti), (EnbId(1), Tti(9)));
+        assert_eq!(r.msg, decoded);
     }
 
     #[test]

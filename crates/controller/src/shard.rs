@@ -358,13 +358,12 @@ impl RibShard {
                 continue;
             }
             loop {
-                let next = match session.carryover.pop_front() {
-                    Some(m) => Some(m),
+                // `from_wire`: the message is what the transport's last
+                // `try_recv` returned, so its envelope may be on loan.
+                let (next, from_wire) = match session.carryover.pop_front() {
+                    Some(m) => (Some(m), false),
                     // lint:allow(alloc-reach) decode materializes owned messages — arrival-driven
-                    None => match session.transport.try_recv() {
-                        Ok(Some(m)) => Some(m),
-                        Ok(None) | Err(_) => None,
-                    },
+                    None => (session.transport.try_recv().ok().flatten(), true),
                 };
                 let Some((header, msg)) = next else { break };
                 session.last_rx = Some(now);
@@ -439,7 +438,15 @@ impl RibShard {
                 }
                 if let Some(journal) = self.journal.as_mut() {
                     if mutates_rib(&msg) {
-                        journal.record_delta(enb, now, &msg);
+                        // Journal the bytes that arrived rather than
+                        // encode the decoded message a second time.
+                        let envelope = from_wire
+                            .then(|| session.transport.last_envelope())
+                            .flatten();
+                        match envelope {
+                            Some(envelope) => journal.record_delta_envelope(enb, now, envelope),
+                            None => journal.record_delta(enb, now, &msg),
+                        }
                     }
                 }
             }

@@ -33,10 +33,14 @@ use flexran_types::Result;
 /// A transport preloaded with adversarial inbound frames. `try_recv`
 /// decodes them exactly the way the real channel/TCP/sim transports do,
 /// so the master sees the same error/message sequence it would see from
-/// a hostile or corrupted peer. Outbound messages are swallowed.
+/// a hostile or corrupted peer. Outbound messages are swallowed. With
+/// `lend` set it also lends each decoded frame, as the sim link does, so
+/// the master journals frames verbatim instead of re-encoding them.
 struct FuzzTransport {
     inbound: VecDeque<Vec<u8>>,
     counters: ByteCounters,
+    lend: bool,
+    lent: Option<Vec<u8>>,
 }
 
 impl Transport for FuzzTransport {
@@ -45,11 +49,19 @@ impl Transport for FuzzTransport {
     }
 
     fn try_recv(&mut self) -> Result<Option<(Header, FlexranMessage)>> {
+        self.lent = None;
         let Some(bytes) = self.inbound.pop_front() else {
             return Ok(None);
         };
         let (header, msg) = FlexranMessage::decode(&bytes)?;
+        if self.lend {
+            self.lent = Some(bytes);
+        }
         Ok(Some((header, msg)))
+    }
+
+    fn last_envelope(&self) -> Option<&[u8]> {
+        self.lent.as_deref()
     }
 
     fn tx_counters(&self) -> ByteCounters {
@@ -170,16 +182,22 @@ proptest! {
     fn master_survives_adversarial_frames(
         frames in proptest::collection::vec(frame(), 1..40),
         n_cycles in 4u64..12,
+        lend in any::<bool>(),
+        compact in any::<bool>(),
     ) {
+        // Without compaction the delta records (verbatim or re-encoded,
+        // per `lend`) are still in the journal when recovery reads it.
         let config = TaskManagerConfig {
             liveness_timeout: 3,
-            journal_snapshot_every: 2,
+            journal_snapshot_every: if compact { 2 } else { 1_000 },
             ..TaskManagerConfig::default()
         };
         let mut master = MasterController::new(config);
         master.add_agent(Box::new(FuzzTransport {
             inbound: frames.into(),
             counters: ByteCounters::new(),
+            lend,
+            lent: None,
         }));
         for t in 0..n_cycles {
             master.run_cycle(Tti(t));

@@ -44,6 +44,16 @@ pub trait Transport: Send {
     /// Next message from the peer, if one has arrived.
     fn try_recv(&mut self) -> Result<Option<(Header, FlexranMessage)>>;
 
+    /// The encoded envelope (integrity trailer included) that the most
+    /// recent [`Transport::try_recv`] decoded into the message it
+    /// returned: what arrived, for consumers that persist it (the RIB
+    /// journal) instead of encoding the decoded message again. `None`
+    /// after a `try_recv` that returned `Ok(None)` or `Err`, and from
+    /// transports that do not keep the bytes (the default).
+    fn last_envelope(&self) -> Option<&[u8]> {
+        None
+    }
+
     /// Bytes sent so far, by category (wire size including framing).
     fn tx_counters(&self) -> ByteCounters;
 

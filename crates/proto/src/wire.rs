@@ -38,13 +38,14 @@ impl WireType {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) slicing-by-8
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) slicing-by-16
 /// lookup tables, built at compile time. `CRC32_TABLES[0]` is the classic
 /// byte-at-a-time table; `CRC32_TABLES[k][b]` is the CRC of byte `b`
-/// followed by `k` zero bytes, which lets [`crc32`] fold eight input bytes
-/// per step with eight independent loads instead of eight dependent ones.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+/// followed by `k` zero bytes, which lets [`crc32`] fold sixteen input
+/// bytes per step with sixteen independent loads instead of sixteen
+/// dependent ones.
+const CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -62,10 +63,10 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
-            // lint:allow(panic): 1 <= k < 8 and i < 256 by the loop bounds.
+            // lint:allow(panic): 1 <= k < 16 and i < 256 by the loop bounds.
             let prev = tables[k - 1][i];
             // lint:allow(panic): as above; the inner index is masked to 0xFF.
             tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
@@ -79,8 +80,22 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 /// `CRC32_TABLES[k]` at the low byte of `bits`.
 #[inline(always)]
 fn crc32_lut(k: usize, bits: u64) -> u32 {
-    // lint:allow(panic): callers pass a literal k < 8; the index is masked.
+    // lint:allow(panic): callers pass k < 16 (a literal plus 0 or 8); the index is masked.
     CRC32_TABLES[k][(bits & 0xFF) as usize]
+}
+
+/// The CRC contribution of eight little-endian input bytes `v` that are
+/// followed by `trailing` (0 or 8) more bytes of the same step.
+#[inline(always)]
+fn crc32_fold8(v: u64, trailing: usize) -> u32 {
+    crc32_lut(trailing + 7, v)
+        ^ crc32_lut(trailing + 6, v >> 8)
+        ^ crc32_lut(trailing + 5, v >> 16)
+        ^ crc32_lut(trailing + 4, v >> 24)
+        ^ crc32_lut(trailing + 3, v >> 32)
+        ^ crc32_lut(trailing + 2, v >> 40)
+        ^ crc32_lut(trailing + 1, v >> 48)
+        ^ crc32_lut(trailing, v >> 56)
 }
 
 /// CRC-32 (IEEE) of `data`. Used as the envelope integrity check: unlike
@@ -90,17 +105,15 @@ fn crc32_lut(k: usize, bits: u64) -> u32 {
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
     // lint:alloc-free-callee `slice::as_chunks` only splits the borrow
-    let (chunks, tail) = data.as_chunks::<8>();
-    for c in chunks {
-        let v = u64::from_le_bytes(*c) ^ crc as u64;
-        crc = crc32_lut(7, v)
-            ^ crc32_lut(6, v >> 8)
-            ^ crc32_lut(5, v >> 16)
-            ^ crc32_lut(4, v >> 24)
-            ^ crc32_lut(3, v >> 32)
-            ^ crc32_lut(2, v >> 40)
-            ^ crc32_lut(1, v >> 48)
-            ^ crc32_lut(0, v >> 56);
+    let (words, tail) = data.as_chunks::<8>();
+    // lint:alloc-free-callee `slice::as_chunks` only splits the borrow
+    let (pairs, odd_word) = words.as_chunks::<2>();
+    for [lo, hi] in pairs {
+        crc = crc32_fold8(u64::from_le_bytes(*lo) ^ crc as u64, 8)
+            ^ crc32_fold8(u64::from_le_bytes(*hi), 0);
+    }
+    for w in odd_word {
+        crc = crc32_fold8(u64::from_le_bytes(*w) ^ crc as u64, 0);
     }
     for &b in tail {
         crc = (crc >> 8) ^ crc32_lut(0, (crc ^ b as u32) as u64);
@@ -732,15 +745,18 @@ mod tests {
         }
 
         /// The slicing kernel against the bit-at-a-time reference: every
-        /// length around the 8-byte stride, at every alignment.
+        /// window of 0..=300 bytes — up to eighteen 16-byte steps, then
+        /// every combination of 8-byte and 1-byte tails — at a drawn
+        /// alignment.
         #[test]
         fn crc32_matches_bitwise_reference(
-            data in proptest::collection::vec(any::<u8>(), 80..81),
-            offset in 0usize..16,
-            len in 0usize..65,
+            data in proptest::collection::vec(any::<u8>(), 332..333),
+            offset in 0usize..32,
         ) {
-            let window = &data[offset..offset + len];
-            prop_assert_eq!(crc32(window), crc32_bitwise(window));
+            for len in 0..=300 {
+                let window = &data[offset..offset + len];
+                prop_assert_eq!(crc32(window), crc32_bitwise(window), "len {}", len);
+            }
         }
 
         /// Fast paths against the plain loop at every 2^(7k) boundary —

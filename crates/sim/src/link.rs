@@ -497,6 +497,10 @@ pub struct SimTransport {
     /// Encode buffer. Each send moves it into the queue whole and
     /// continues in one the receiver has handed back.
     scratch: WireWriter,
+    /// Payload of the message the last `try_recv` returned, lent out via
+    /// [`Transport::last_envelope`]; handed back to the sender's spares
+    /// on the next `try_recv`.
+    lent: Option<Vec<u8>>,
     tx_counters: ByteCounters,
     rx_counters: ByteCounters,
 }
@@ -541,6 +545,7 @@ fn sim_link_pair_inner(
             out: ab.clone(),
             inc: ba.clone(),
             scratch: WireWriter::new(),
+            lent: None,
             tx_counters: ByteCounters::new(),
             rx_counters: ByteCounters::new(),
         },
@@ -549,6 +554,7 @@ fn sim_link_pair_inner(
             out: ba,
             inc: ab,
             scratch: WireWriter::new(),
+            lent: None,
             tx_counters: ByteCounters::new(),
             rx_counters: ByteCounters::new(),
         },
@@ -609,16 +615,36 @@ impl Transport for SimTransport {
     }
 
     fn try_recv(&mut self) -> Result<Option<(Header, FlexranMessage)>> {
-        let Some(payload) = self.inc.lock().pop_due(self.clock.now()) else {
+        let payload = {
+            let mut inc = self.inc.lock();
+            if let Some(lent) = self.lent.take() {
+                inc.recycle(lent);
+            }
+            inc.pop_due(self.clock.now())
+        };
+        let Some(payload) = payload else {
             return Ok(None);
         };
-        let decoded = FlexranMessage::decode(&payload);
-        let wire_bytes = payload.len() as u64 + FRAME_OVERHEAD_BYTES;
-        self.inc.lock().recycle(payload);
-        let (header, msg) = decoded
-            .map_err(|e| FlexError::Transport(format!("undecodable frame on sim link: {e}")))?;
-        self.rx_counters.add(msg.category(), wire_bytes);
-        Ok(Some((header, msg)))
+        match FlexranMessage::decode(&payload) {
+            Ok((header, msg)) => {
+                self.rx_counters
+                    .add(msg.category(), payload.len() as u64 + FRAME_OVERHEAD_BYTES);
+                self.lent = Some(payload);
+                Ok(Some((header, msg)))
+            }
+            Err(e) => {
+                // Mangled frames are a fault-injection event, so the
+                // second lock stays off the common path.
+                self.inc.lock().recycle(payload);
+                Err(FlexError::Transport(format!(
+                    "undecodable frame on sim link: {e}"
+                )))
+            }
+        }
+    }
+
+    fn last_envelope(&self) -> Option<&[u8]> {
+        self.lent.as_deref()
     }
 
     fn tx_counters(&self) -> ByteCounters {
@@ -1034,6 +1060,68 @@ mod tests {
         assert_eq!(b.purge_inbound(), 2);
         clock.advance_to(Tti(20));
         assert!(b.try_recv().unwrap().is_none(), "crash lost the messages");
+    }
+
+    #[test]
+    fn last_envelope_lends_the_decoded_bytes() {
+        let clock = clocked();
+        let cfg = LinkConfig {
+            latency_ms: 1,
+            ..LinkConfig::default()
+        };
+        let (mut a, mut b) = sim_link_pair(clock.clone(), cfg, LinkConfig::ideal());
+        assert!(b.last_envelope().is_none());
+        a.send(Header::with_xid(7), &msg(1)).unwrap();
+        assert!(b.try_recv().unwrap().is_none(), "still in flight");
+        assert!(b.last_envelope().is_none());
+        clock.advance_to(Tti(1));
+        let (h, m) = b.try_recv().unwrap().unwrap();
+        let envelope = m.encode(h);
+        assert_eq!(b.last_envelope(), Some(&envelope[..]));
+        // A crash drops what is queued, not what was already delivered.
+        a.send(Header::with_xid(8), &msg(2)).unwrap();
+        assert_eq!(b.purge_inbound(), 1);
+        assert_eq!(b.last_envelope(), Some(&envelope[..]));
+        assert!(b.try_recv().unwrap().is_none());
+        assert!(b.last_envelope().is_none());
+    }
+
+    #[test]
+    fn last_envelope_is_none_after_an_undecodable_frame() {
+        let clock = clocked();
+        let faults = FaultHandle::new(13);
+        faults.set_config(FaultConfig {
+            wire: Some(WireFaults {
+                insert_prob: 1.0,
+                ..WireFaults::default()
+            }),
+            ..FaultConfig::default()
+        });
+        let (mut a, mut b) =
+            sim_link_pair_with_faults(clock, LinkConfig::ideal(), LinkConfig::ideal(), faults);
+        a.send(Header::with_xid(3), &msg(1)).unwrap();
+        let (h, m) = b.try_recv().unwrap().unwrap();
+        assert_eq!(b.last_envelope(), Some(&m.encode(h)[..]));
+        assert!(b.try_recv().is_err(), "the inserted garbage frame");
+        assert!(b.last_envelope().is_none());
+    }
+
+    #[test]
+    fn lending_keeps_the_spare_pool_capped() {
+        let clock = clocked();
+        let (mut a, mut b) = sim_link_pair(clock, LinkConfig::ideal(), LinkConfig::ideal());
+        for i in 0..20 {
+            a.send(Header::with_xid(i), &msg(i)).unwrap();
+        }
+        let mut received = 0;
+        while b.try_recv().unwrap().is_some() {
+            received += 1;
+            assert!(b.inc.lock().spare.len() <= SPARE_BUFFERS);
+        }
+        assert_eq!(received, 20);
+        // All twenty buffers came back, the last on the empty poll; the
+        // pool kept eight of them.
+        assert_eq!(b.inc.lock().spare.len(), SPARE_BUFFERS);
     }
 
     #[test]
