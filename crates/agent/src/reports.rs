@@ -13,6 +13,7 @@ use flexran_proto::messages::stats::{ReportConfig, ReportType, StatsReply, UeRep
 use flexran_proto::messages::{CellReport, FlexranMessage};
 use flexran_proto::wire::WireWriter;
 use flexran_stack::enb::Enb;
+use flexran_types::hash::Fnv1a;
 use flexran_types::time::Tti;
 
 #[derive(Debug)]
@@ -36,15 +37,6 @@ pub struct ReportsManager {
     reply_buf: StatsReply,
     /// Reusable encode buffer for content hashing.
     hash_buf: WireWriter,
-}
-
-fn fnv(data: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in data {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Compose a statistics reply for the whole eNodeB.
@@ -100,9 +92,10 @@ fn content_hash(reply: &mut StatsReply, scratch: &mut WireWriter) -> u64 {
     let tti = reply.tti;
     reply.tti = 0;
     reply.encode_body_into(scratch);
-    let h = fnv(scratch.as_slice());
+    let mut h = Fnv1a::new();
+    h.write(scratch.as_slice());
     reply.tti = tti;
-    h
+    h.finish()
 }
 
 impl ReportsManager {

@@ -9,12 +9,13 @@
 //!
 //! Pushed artifacts are verified against a trusted-authority signature
 //! before entering the cache (§4.3.1's code-signing requirement); the
-//! signature here is an HMAC-style keyed FNV-1a over the artifact — a
-//! stand-in with the same accept/reject semantics.
+//! signature is [`VsfPush::compute_signature`], an HMAC-style keyed
+//! FNV-1a over the artifact — a stand-in with the same accept/reject
+//! semantics.
 
 use std::collections::BTreeMap;
 
-use flexran_proto::messages::delegation::{VsfArtifact, VsfPush};
+use flexran_proto::messages::delegation::VsfPush;
 use flexran_stack::mac::scheduler::{DlScheduler, UlScheduler};
 use flexran_types::{FlexError, Result};
 
@@ -211,50 +212,14 @@ impl DlScheduler for RemoteStubScheduler {
 // Code signing
 // ----------------------------------------------------------------------
 
-/// The trusted authority's signing key (in a real deployment: a private
-/// key whose public half is provisioned to agents).
-const SIGNING_KEY: u64 = 0x46_4C_45_58_52_41_4E_21; // "FLEXRAN!"
-
-fn fnv1a(data: &[u8], mut hash: u64) -> u64 {
-    for b in data {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
-/// Canonical byte string a push is signed over.
-fn signing_payload(push: &VsfPush) -> Vec<u8> {
-    let mut v = Vec::new();
-    v.extend_from_slice(push.module.as_bytes());
-    v.push(0);
-    v.extend_from_slice(push.vsf.as_bytes());
-    v.push(0);
-    v.extend_from_slice(push.name.as_bytes());
-    v.push(0);
-    match &push.artifact {
-        VsfArtifact::Registry { key } => {
-            v.push(0);
-            v.extend_from_slice(key.as_bytes());
-        }
-        VsfArtifact::Dsl { source } => {
-            v.push(1);
-            v.extend_from_slice(source.as_bytes());
-        }
-    }
-    v
-}
-
 /// Sign a push (the trusted authority / master side).
 pub fn sign_push(push: &mut VsfPush) {
-    let h = fnv1a(&signing_payload(push), SIGNING_KEY ^ 0xcbf29ce484222325);
-    push.signature = h.to_be_bytes().to_vec();
+    push.signature = push.compute_signature().to_be_bytes().to_vec();
 }
 
 /// Verify a push's signature (the agent side).
 pub fn verify_push(push: &VsfPush) -> Result<()> {
-    let h = fnv1a(&signing_payload(push), SIGNING_KEY ^ 0xcbf29ce484222325);
-    if push.signature == h.to_be_bytes() {
+    if push.signature == push.compute_signature().to_be_bytes() {
         Ok(())
     } else {
         Err(FlexError::Delegation(format!(
@@ -267,6 +232,7 @@ pub fn verify_push(push: &VsfPush) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexran_proto::messages::delegation::VsfArtifact;
 
     #[test]
     fn slot_insert_activate_swap() {

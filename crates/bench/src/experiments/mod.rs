@@ -1,7 +1,6 @@
 //! The experiment registry: every table and figure of the paper, by id.
 
 pub mod ablations;
-pub mod chaos;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
@@ -46,7 +45,6 @@ pub const ALL: &[&str] = &[
     "rollout",
     "scale",
     "allocgate",
-    "chaos",
 ];
 
 /// Run one experiment id (some ids share a runner and return together).
@@ -71,7 +69,6 @@ pub fn run(id: &str, ctx: &ExpContext) -> Vec<ExpResult> {
         "rollout" => vec![rollout::rollout(ctx)],
         "scale" => vec![scale::scale(ctx)],
         "allocgate" => vec![scale::allocgate(ctx)],
-        "chaos" => vec![chaos::chaos(ctx)],
         other => panic!("unknown experiment id '{other}' (available: {ALL:?})"),
     }
 }

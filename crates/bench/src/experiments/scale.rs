@@ -10,8 +10,8 @@
 //!   the master cycle with its fanned-out shard RIB slots — phase A,
 //!   interference coupling, phase B, merge), across worker counts and
 //!   control-plane shard specs,
-//! * heap allocations per TTI (the whole `step`, via this crate's
-//!   counting allocator),
+//! * heap allocations per TTI (the whole `step`, via the counting
+//!   allocator this crate installs),
 //! * a digest of the end-state observables, asserting the determinism
 //!   contract: serial and parallel runs must be bit-identical,
 //! * a steady-state allocation probe of the MAC schedulers, asserting
@@ -31,9 +31,11 @@ use flexran::prelude::*;
 use flexran::sim::link::LinkConfig;
 use flexran::sim::traffic::FullBufferSource;
 use flexran::stack::mac::scheduler::RoundRobinScheduler;
+use flexran::types::hash::Fnv1a;
+use flexran_campaign::alloc_probe;
 
 use super::{remote_agent_config, subscribe_stats};
-use crate::{alloc_counter, csv, f2, ExpContext, ExpResult};
+use crate::{csv, f2, ExpContext, ExpResult};
 
 /// One grid point's measurements.
 struct Sample {
@@ -67,13 +69,6 @@ struct Sample {
 /// the shorter historical warm-up so their end-state digests stay
 /// comparable to the committed baseline (same total TTI count).
 const WARMUP_TTIS: u64 = 2_000;
-
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100000001b3);
-    }
-}
 
 fn build(
     n_enbs: usize,
@@ -122,22 +117,11 @@ fn add_enb_with_ues(
     enb
 }
 
-/// Digest of the end-state observables: every UE's delivered-bit
-/// counters and queue state, in UE-id order.
+/// Digest of the end-state observables of every UE, in UE-id order.
 fn digest(sim: &SimHarness, n_enbs: usize, ues_per_enb: usize) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for id in 1..=(n_enbs * ues_per_enb) as u32 {
-        let Some(s) = sim.ue_stats(UeId(id)) else {
-            fnv(&mut h, u64::MAX);
-            continue;
-        };
-        fnv(&mut h, s.dl_delivered_bits);
-        fnv(&mut h, s.ul_delivered_bits);
-        fnv(&mut h, s.dl_queue_bytes.as_u64());
-        fnv(&mut h, s.cqi.0 as u64);
-        fnv(&mut h, s.harq_tx + s.harq_retx);
-    }
-    h
+    let mut h = Fnv1a::new();
+    sim.fold_end_state((1..=(n_enbs * ues_per_enb) as u32).map(UeId), &mut h);
+    h.finish()
 }
 
 fn run_point(
@@ -153,7 +137,7 @@ fn run_point(
     sim.reset_budget(); // percentiles cover only the measured window
     let t0_timings = sim.phase_timings();
     let t0 = Instant::now();
-    let (_, allocs, _) = alloc_counter::measure(|| sim.run(ttis));
+    let (_, allocs, _) = alloc_probe::measure(|| sim.run(ttis));
     let wall = t0.elapsed();
     let t = sim.phase_timings();
     let b = sim.budget_stats();
@@ -188,7 +172,7 @@ fn run_point(
 fn steady_alloc_probe(n_enbs: usize, ues_per_enb: usize, ttis: u64) -> u64 {
     let mut sim = build(n_enbs, ues_per_enb, None, ShardSpec::Auto, 7);
     sim.run(WARMUP_TTIS);
-    let (_, allocs, _) = alloc_counter::measure(|| sim.run(ttis));
+    let (_, allocs, _) = alloc_probe::measure(|| sim.run(ttis));
     allocs
 }
 
@@ -250,7 +234,7 @@ fn sched_alloc_probe() -> Vec<(&'static str, u64)> {
             dl_in.target = Tti(t);
             s.schedule_dl_into(&dl_in, &mut dl_out);
         }
-        let (_, allocs, _) = alloc_counter::measure(|| {
+        let (_, allocs, _) = alloc_probe::measure(|| {
             for t in 0..ITERS {
                 dl_in.now = Tti(t);
                 dl_in.target = Tti(t);
@@ -268,7 +252,7 @@ fn sched_alloc_probe() -> Vec<(&'static str, u64)> {
     for _ in 0..4 {
         ul.schedule_ul_into(&ul_in, &mut ul_out);
     }
-    let (_, allocs, _) = alloc_counter::measure(|| {
+    let (_, allocs, _) = alloc_probe::measure(|| {
         for _ in 0..ITERS {
             ul.schedule_ul_into(&ul_in, &mut ul_out);
         }
@@ -548,7 +532,7 @@ pub fn allocgate(ctx: &ExpContext) -> ExpResult {
     ];
     for (case, mut sim, ceiling) in cases {
         sim.run(WARMUP_TTIS);
-        let (_, allocs, bytes) = alloc_counter::measure(|| sim.run(ttis));
+        let (_, allocs, bytes) = alloc_probe::measure(|| sim.run(ttis));
         let per_tti = allocs.div_ceil(ttis);
         r.row(vec![
             case.to_string(),

@@ -18,104 +18,20 @@ pub mod experiments;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// Heap-traffic accounting for the perf experiments: every binary and
-/// test in this crate runs under a counting wrapper around the system
-/// allocator, so `experiments scale` can report allocations per TTI and
-/// assert the schedulers' zero-steady-state-allocation contract.
-pub mod alloc_counter {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static BYTES: AtomicU64 = AtomicU64::new(0);
-
-    thread_local! {
-        // Per-thread allocation count for concurrent measurements
-        // (campaign runs execute on a worker pool; the process-global
-        // counter would blame one run for its neighbours' churn).
-        // `const` init: the TLS slot must not itself allocate lazily,
-        // or the first counted allocation would recurse.
-        static THREAD_ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    }
-
-    /// The counting allocator. Counts `alloc`/`realloc` calls and bytes;
-    /// frees are not tracked (the experiments care about allocation
-    /// *churn*, not footprint).
-    pub struct CountingAllocator;
-
-    // SAFETY: delegates every operation to `System`; the counters are
-    // plain relaxed atomics with no allocation of their own.
-    unsafe impl GlobalAlloc for CountingAllocator {
-        // SAFETY: same contract as the caller's — `layout` is passed
-        // through to `System.alloc` unchanged.
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            // `try_with`: TLS may already be torn down during thread
-            // exit; losing those few counts is fine, aborting is not.
-            let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-            // SAFETY: forwarding the caller's obligations verbatim.
-            unsafe { System.alloc(layout) }
-        }
-
-        // SAFETY: `ptr`/`layout` come from a prior `alloc` on `System`
-        // (every path above delegates there), so the pair is valid.
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: forwarding the caller's obligations verbatim.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        // SAFETY: same contract as the caller's — all arguments are
-        // passed through to `System.realloc` unchanged.
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-            let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-            // SAFETY: forwarding the caller's obligations verbatim.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    /// Allocation calls since process start.
-    pub fn allocations() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
-    }
-
-    /// Bytes requested since process start.
-    pub fn allocated_bytes() -> u64 {
-        BYTES.load(Ordering::Relaxed)
-    }
-
-    /// Allocation calls made by the *calling thread* since it started.
-    /// This is the counter the campaign orchestrator's
-    /// [`flexran_campaign::alloc_probe`] gets registered with.
-    pub fn thread_allocations() -> u64 {
-        THREAD_ALLOCS.try_with(std::cell::Cell::get).unwrap_or(0)
-    }
-
-    /// Allocation calls and bytes spent running `f`.
-    pub fn measure<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
-        let (a0, b0) = (allocations(), allocated_bytes());
-        let r = f();
-        (r, allocations() - a0, allocated_bytes() - b0)
-    }
-}
-
+/// Every binary and test in this crate counts its heap traffic, so
+/// `experiments scale` and `allocgate` can report allocations per TTI and
+/// assert the zero-steady-state-allocation contract.
 #[global_allocator]
-static GLOBAL: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
+static GLOBAL: flexran_campaign::alloc_probe::CountingAllocator =
+    flexran_campaign::alloc_probe::CountingAllocator;
 
 /// Shared experiment context: scaling and output sinks.
 pub struct ExpContext {
     /// Shrink durations (smoke mode).
     pub quick: bool,
     pub out_dir: PathBuf,
-    /// CLI override for seed-sweep experiments (`--seeds N`).
-    pub seeds_override: Option<u64>,
     /// CLI override for run length (`--ttis N`).
     pub ttis_override: Option<u64>,
-    /// CLI override for control-plane shard count (`--shards N`);
-    /// `Some(0)` means one shard per agent.
-    pub shards_override: Option<usize>,
 }
 
 impl ExpContext {
@@ -125,9 +41,7 @@ impl ExpContext {
         ExpContext {
             quick,
             out_dir,
-            seeds_override: None,
             ttis_override: None,
-            shards_override: None,
         }
     }
 

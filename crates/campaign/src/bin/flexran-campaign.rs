@@ -17,64 +17,14 @@
 
 use std::io::Write as _;
 
+use flexran_campaign::alloc_probe::CountingAllocator;
 use flexran_campaign::chaos::{run_chaos_campaign, ChaosCampaignSpec, ChaosVariant};
 use flexran_campaign::sweep::{parse_grid, run_sweep, SweepSpec};
-use flexran_campaign::{alloc_probe, CampaignReport, CancelToken};
+use flexran_campaign::{CampaignReport, CancelToken};
 
-/// Thread-attributed counting allocator so campaign runs can report an
-/// allocs/TTI KPI. Per-thread counters matter: runs execute
-/// concurrently, and a process-global count would blame one run for its
-/// neighbours' heap traffic.
-mod counting_alloc {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    thread_local! {
-        // `const` init: the TLS slot must not itself allocate lazily,
-        // or the first counted allocation would recurse.
-        static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub struct CountingAllocator;
-
-    // SAFETY: delegates every operation unchanged to `System`, which
-    // upholds the `GlobalAlloc` contract; the counter update has no
-    // effect on the returned memory.
-    unsafe impl GlobalAlloc for CountingAllocator {
-        // SAFETY: same contract as the caller's — `layout` is passed
-        // through to `System.alloc` unchanged.
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            // `try_with`: TLS may already be torn down during thread
-            // exit; losing those few counts is fine, aborting is not.
-            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-            // SAFETY: forwarding the caller's obligations verbatim.
-            unsafe { System.alloc(layout) }
-        }
-
-        // SAFETY: `ptr`/`layout` come from a prior `alloc` on `System`
-        // (every path above delegates there), so the pair is valid.
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: forwarding the caller's obligations verbatim.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        // SAFETY: same contract as the caller's — all arguments are
-        // passed through to `System.realloc` unchanged.
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-            // SAFETY: forwarding the caller's obligations verbatim.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    /// Allocations made by the calling thread since it started.
-    pub fn thread_allocations() -> u64 {
-        ALLOCS.try_with(Cell::get).unwrap_or(0)
-    }
-}
-
+/// Counted so campaign runs can report an allocs/TTI KPI.
 #[global_allocator]
-static ALLOC: counting_alloc::CountingAllocator = counting_alloc::CountingAllocator;
+static ALLOC: CountingAllocator = CountingAllocator;
 
 const USAGE: &str = "\
 usage: flexran-campaign <chaos|sweep> [flags]
@@ -315,7 +265,6 @@ fn run_sweep_cmd(args: &[String]) -> Result<i32, String> {
 }
 
 fn main() {
-    alloc_probe::register(counting_alloc::thread_allocations);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.split_first() {
         Some((cmd, rest)) if cmd == "chaos" => run_chaos(rest),

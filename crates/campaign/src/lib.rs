@@ -20,12 +20,13 @@
 //!   an independent oracle.
 //! * [`chaos`] plans N seeds × M shard-spec variants of the seeded
 //!   fault orchestrator (`flexran-chaos`) — the campaign behind
-//!   `experiments chaos` and the `scripts/check.sh` chaos gate.
+//!   `flexran-campaign chaos`, the only way to run chaos, and the
+//!   `scripts/check.sh` chaos gate.
 //! * [`sweep`] runs the scale grid across seeds so `BENCH_scale.json`
 //!   gains confidence intervals instead of single-run points.
-//! * [`alloc_probe`] lets the host binary plug in a thread-attributed
-//!   allocation counter for the allocs/TTI KPI without this crate
-//!   owning a `#[global_allocator]`.
+//! * [`alloc_probe`] is the workspace's one counting allocator: binaries
+//!   install it with `#[global_allocator]`, and runs read it for the
+//!   allocs/TTI KPI (`None` where no binary installed it).
 //!
 //! The load-bearing contract, pinned by `tests/campaign.rs`: a run's
 //! digest and fault log depend only on its `(seed, config)` — never on
@@ -33,8 +34,9 @@
 //! exactly as trustworthy as the serial runs it replaces, just N of
 //! them at once.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
+#[allow(unsafe_code)]
 pub mod alloc_probe;
 pub mod chaos;
 pub mod pool;

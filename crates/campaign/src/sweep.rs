@@ -17,6 +17,7 @@ use flexran::agent::AgentConfig;
 use flexran::harness::{SimConfig, SimHarness, UeRadioSpec};
 use flexran::prelude::*;
 use flexran::sim::traffic::FullBufferSource;
+use flexran::types::hash::Fnv1a;
 
 /// One planned sweep run: a grid point under one seed.
 #[derive(Debug, Clone)]
@@ -87,13 +88,6 @@ impl SweepSpec {
     }
 }
 
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100000001b3);
-    }
-}
-
 /// Execute one sweep run (serial TTI engine — the campaign pool is the
 /// parallelism) and record its KPIs and end-state digest.
 pub fn run_one(run: &SweepRun, spec: &SweepSpec) -> RunRecord {
@@ -131,20 +125,13 @@ pub fn run_one(run: &SweepRun, spec: &SweepSpec) -> RunRecord {
 
     // Deterministic end-state digest + cumulative throughput, the same
     // observables `experiments scale` digests.
-    let mut digest = 0xcbf29ce484222325u64;
-    let mut dl_bits = 0u64;
-    for id in 1..=(run.enbs * run.ues_per_enb) as u32 {
-        let Some(s) = sim.ue_stats(UeId(id)) else {
-            fnv(&mut digest, u64::MAX);
-            continue;
-        };
-        fnv(&mut digest, s.dl_delivered_bits);
-        fnv(&mut digest, s.ul_delivered_bits);
-        fnv(&mut digest, s.dl_queue_bytes.as_u64());
-        fnv(&mut digest, s.cqi.0 as u64);
-        fnv(&mut digest, s.harq_tx + s.harq_retx);
-        dl_bits += s.dl_delivered_bits;
-    }
+    let ues = || (1..=(run.enbs * run.ues_per_enb) as u32).map(UeId);
+    let mut digest = Fnv1a::new();
+    sim.fold_end_state(ues(), &mut digest);
+    let dl_bits: u64 = ues()
+        .filter_map(|ue| sim.ue_stats(ue))
+        .map(|s| s.dl_delivered_bits)
+        .sum();
 
     let total_ttis = (spec.warmup + spec.ttis).max(1);
     let mut kpis: Vec<(&'static str, f64)> = vec![
@@ -169,7 +156,7 @@ pub fn run_one(run: &SweepRun, spec: &SweepSpec) -> RunRecord {
         label: format!("{}x{}", run.enbs, run.ues_per_enb),
         seed: run.seed,
         pass: true, // the sweep has no oracles; failures are digest mismatches downstream
-        digest,
+        digest: digest.finish(),
         violations_total: 0,
         violations: Vec::new(),
         kpis,

@@ -48,6 +48,7 @@ use flexran::proto::{ReportConfig, ReportFlags, ReportType, VsfArtifact, VsfPush
 use flexran::sim::link::{FaultConfig, FaultHandle, LinkConfig, WireFaults};
 use flexran::sim::traffic::CbrSource;
 use flexran::stack::mac::scheduler::RoundRobinScheduler;
+use flexran::types::hash::Fnv1a;
 
 /// Knobs of one chaos run. Everything is derived from `seed`; two runs
 /// with equal configs produce bit-identical [`ChaosReport`]s.
@@ -187,13 +188,6 @@ impl ChaosReport {
 pub struct ChaosTelemetry {
     /// TTI deadline-budget percentiles over the whole run (harness-side).
     pub budget: flexran::types::budget::BudgetStats,
-}
-
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100000001b3);
-    }
 }
 
 fn chaos_agent_config() -> AgentConfig {
@@ -448,19 +442,10 @@ pub fn run_chaos_instrumented(config: &ChaosConfig) -> (ChaosReport, ChaosTeleme
     // fault log and the verdict. Everything folded here is derived from
     // the seeded schedule, so replays (serial, pooled, cross-process)
     // reproduce it bit-identically.
-    let mut digest = 0xcbf29ce484222325u64;
-    let mut dl_delivered_bits = 0u64;
-    let mut ul_delivered_bits = 0u64;
-    for &ue in &ues {
-        let Some(s) = sim.ue_stats(ue) else {
-            fnv(&mut digest, u64::MAX);
-            continue;
-        };
-        fnv(&mut digest, s.dl_delivered_bits);
-        fnv(&mut digest, s.ul_delivered_bits);
-        fnv(&mut digest, s.dl_queue_bytes.as_u64());
-        fnv(&mut digest, s.cqi.0 as u64);
-        fnv(&mut digest, s.harq_tx + s.harq_retx);
+    let mut digest = Fnv1a::new();
+    sim.fold_end_state(ues.iter().copied(), &mut digest);
+    let (mut dl_delivered_bits, mut ul_delivered_bits) = (0u64, 0u64);
+    for s in ues.iter().filter_map(|&ue| sim.ue_stats(ue)) {
         dl_delivered_bits += s.dl_delivered_bits;
         ul_delivered_bits += s.ul_delivered_bits;
     }
@@ -474,7 +459,7 @@ pub fn run_chaos_instrumented(config: &ChaosConfig) -> (ChaosReport, ChaosTeleme
         log.rollouts,
         oracles.total,
     ] {
-        fnv(&mut digest, v);
+        digest.write_u64(v);
     }
 
     let report = ChaosReport {
@@ -483,7 +468,7 @@ pub fn run_chaos_instrumented(config: &ChaosConfig) -> (ChaosReport, ChaosTeleme
         faults: log,
         violations_total: oracles.total,
         violations: oracles.violations,
-        digest,
+        digest: digest.finish(),
         dl_delivered_bits,
         ul_delivered_bits,
     };

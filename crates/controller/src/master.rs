@@ -544,7 +544,7 @@ impl MasterController {
     pub fn push_vsf(&mut self, enb: EnbId, mut push: VsfPush, sign: bool) -> Result<u32> {
         if sign {
             // The master holds the signing key in this model.
-            sign_push_compat(&mut push);
+            push.signature = push.compute_signature().to_be_bytes().to_vec();
         }
         let xid = self.send_to(enb, FlexranMessage::VsfPush(push.clone()))?;
         self.record_replay(enb, ReplayOp::Vsf(push));
@@ -941,38 +941,6 @@ impl MasterController {
             }
         }
     }
-}
-
-/// Signing helper re-exported here so the controller crate does not
-/// depend on the agent crate (the key/algorithm pair must match
-/// `flexran-agent`'s verifier; the shared-constant duplication is the
-/// model's stand-in for PKI).
-fn sign_push_compat(push: &mut VsfPush) {
-    const SIGNING_KEY: u64 = 0x46_4C_45_58_52_41_4E_21;
-    let mut h = SIGNING_KEY ^ 0xcbf29ce484222325;
-    let mut feed = |data: &[u8]| {
-        for b in data {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    feed(push.module.as_bytes());
-    feed(&[0]);
-    feed(push.vsf.as_bytes());
-    feed(&[0]);
-    feed(push.name.as_bytes());
-    feed(&[0]);
-    match &push.artifact {
-        flexran_proto::messages::VsfArtifact::Registry { key } => {
-            feed(&[0]);
-            feed(key.as_bytes());
-        }
-        flexran_proto::messages::VsfArtifact::Dsl { source } => {
-            feed(&[1]);
-            feed(source.as_bytes());
-        }
-    }
-    push.signature = h.to_be_bytes().to_vec();
 }
 
 #[cfg(test)]
@@ -1536,20 +1504,5 @@ mod tests {
         };
         assert!(MasterController::recover(config, b"not a journal", Tti(0)).is_err());
         assert!(MasterController::recover(config, &[], Tti(0)).is_err());
-    }
-
-    #[test]
-    fn signing_matches_agent_verifier() {
-        let mut push = VsfPush {
-            module: "mac".into(),
-            vsf: "dl_ue_scheduler".into(),
-            name: "x".into(),
-            artifact: flexran_proto::messages::VsfArtifact::Registry {
-                key: "round-robin".into(),
-            },
-            signature: vec![],
-        };
-        sign_push_compat(&mut push);
-        flexran_agent::vsf::verify_push(&push).expect("controller signature must verify");
     }
 }

@@ -44,6 +44,7 @@ use flexran_stack::mac::scheduler::{
 use flexran_stack::stats::UeStats;
 use flexran_types::budget::TtiBudget;
 use flexran_types::config::EnbConfig;
+use flexran_types::hash::Fnv1a;
 use flexran_types::ids::{CellId, EnbId, Rnti, SliceId, UeId};
 use flexran_types::time::Tti;
 use flexran_types::units::Bytes;
@@ -742,6 +743,25 @@ impl SimHarness {
         let e = self.entry(ue)?;
         let rnti = e.rnti?;
         self.agents[e.agent_idx].enb().ue_stat(e.cell, rnti).ok()
+    }
+
+    /// Fold the end-state digest of `ues`, in the order given, into `h`:
+    /// per UE its delivered DL and UL bits, DL queue bytes, CQI and HARQ
+    /// transmissions, or `u64::MAX` for a UE without stats (detached or
+    /// re-attaching). Scale and campaign runs, chaos reports and the
+    /// determinism goldens all pin this digest.
+    pub fn fold_end_state(&self, ues: impl IntoIterator<Item = UeId>, h: &mut Fnv1a) {
+        for ue in ues {
+            let Some(s) = self.ue_stats(ue) else {
+                h.write_u64(u64::MAX);
+                continue;
+            };
+            h.write_u64(s.dl_delivered_bits);
+            h.write_u64(s.ul_delivered_bits);
+            h.write_u64(s.dl_queue_bytes.as_u64());
+            h.write_u64(s.cqi.0 as u64);
+            h.write_u64(s.harq_tx + s.harq_retx);
+        }
     }
 
     /// Inject downlink bytes directly (application-paced flows: TCP/DASH

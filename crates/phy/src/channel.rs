@@ -224,13 +224,11 @@ mod tests {
 
     /// FNV-1a over the bit patterns of 2 000 samples drawn at `ttis`.
     fn sample_digest(ch: &mut GaussMarkovFading, ttis: impl Iterator<Item = u64>) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = flexran_types::hash::Fnv1a::new();
         for t in ttis.take(2_000) {
-            for b in ch.sinr_db(Tti(t)).to_bits().to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.write_u64(ch.sinr_db(Tti(t)).to_bits());
         }
-        h
+        h.finish()
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! API): get/set configurations of eNodeB, cells and UEs.
 
 use flexran_types::config::{Bandwidth, CellConfig, DuplexMode, TransmissionMode, UeConfig};
+use flexran_types::hash::Fnv1a;
 use flexran_types::ids::{CellId, EnbId, Rnti, SliceId};
 use flexran_types::units::Dbm;
 use flexran_types::Result;
@@ -278,9 +279,8 @@ pub struct ConfigBundlePb {
 }
 
 impl ConfigBundlePb {
-    /// Build a bundle and sign it (the master is the signing authority;
-    /// the shared-constant key is the model's stand-in for PKI, matching
-    /// the VSF push signing scheme).
+    /// Build a bundle and sign it (the master is the signing authority,
+    /// with the same key as [`VsfPush::compute_signature`](super::VsfPush::compute_signature)).
     pub fn signed(version: u64, policy_yaml: String, vsf_key: String, scheduler: String) -> Self {
         let mut b = ConfigBundlePb {
             version,
@@ -295,21 +295,14 @@ impl ConfigBundlePb {
 
     /// The keyed FNV-1a signature over (version, policy, vsf, scheduler).
     pub fn compute_signature(&self) -> u64 {
-        const SIGNING_KEY: u64 = 0x46_4C_45_58_52_41_4E_21;
-        let mut h = SIGNING_KEY ^ 0xcbf29ce484222325;
-        let mut feed = |data: &[u8]| {
-            for b in data {
-                h ^= *b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        feed(&self.version.to_be_bytes());
-        feed(self.policy_yaml.as_bytes());
-        feed(&[0]);
-        feed(self.vsf_key.as_bytes());
-        feed(&[0]);
-        feed(self.scheduler.as_bytes());
-        h
+        let mut h = Fnv1a::keyed(super::SIGNING_KEY);
+        h.write(&self.version.to_be_bytes());
+        h.write(self.policy_yaml.as_bytes());
+        h.write(&[0]);
+        h.write(self.vsf_key.as_bytes());
+        h.write(&[0]);
+        h.write(self.scheduler.as_bytes());
+        h.finish()
     }
 
     /// Whether the carried signature matches the content. Agents refuse

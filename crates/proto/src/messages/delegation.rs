@@ -14,6 +14,7 @@
 //! link to the CMI call) and `parameters:` (runtime-tunable values of the
 //! active VSF).
 
+use flexran_types::hash::Fnv1a;
 use flexran_types::Result;
 
 use crate::wire::{WireReader, WireWriter};
@@ -54,6 +55,27 @@ pub struct VsfPush {
 }
 
 impl VsfPush {
+    /// The keyed FNV-1a signature over (module, vsf, name, artifact kind,
+    /// artifact); it travels as its big-endian bytes in `signature`.
+    pub fn compute_signature(&self) -> u64 {
+        let mut h = Fnv1a::keyed(super::SIGNING_KEY);
+        for field in [&self.module, &self.vsf, &self.name] {
+            h.write(field.as_bytes());
+            h.write(&[0]);
+        }
+        match &self.artifact {
+            VsfArtifact::Registry { key } => {
+                h.write(&[0]);
+                h.write(key.as_bytes());
+            }
+            VsfArtifact::Dsl { source } => {
+                h.write(&[1]);
+                h.write(source.as_bytes());
+            }
+        }
+        h.finish()
+    }
+
     pub(crate) fn encode(&self, w: &mut WireWriter) {
         w.string(1, &self.module);
         w.string(2, &self.vsf);

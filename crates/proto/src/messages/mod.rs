@@ -38,6 +38,12 @@ pub use stats::{
 /// Protocol version spoken by this implementation.
 pub const PROTOCOL_VERSION: u32 = 1;
 
+/// The trusted authority's key for [`VsfPush`] and [`ConfigBundlePb`]
+/// signatures ("FLEXRAN!"). A real deployment would sign with a private
+/// key whose public half is provisioned to agents; the shared constant
+/// is the model's stand-in with the same accept/reject semantics.
+const SIGNING_KEY: u64 = 0x46_4C_45_58_52_41_4E_21;
+
 /// Envelope header carried by every message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {

@@ -17,8 +17,8 @@
 //!   reference throughput-rule player and the FlexRAN-assisted player.
 //! * [`radio`] — per-UE channel processes and multi-cell geometry wired
 //!   into the data plane's `PhyView`.
-//! * [`metrics`] — throughput meters, time series, CDFs and wall-clock
-//!   stopwatches used to reproduce the paper's figures.
+//! * [`metrics`] — throughput meters, time series and CDFs used to
+//!   reproduce the paper's figures.
 //!
 //! The full orchestration of eNodeBs + agents + master controller lives
 //! in the umbrella `flexran` crate; this crate deliberately stays below
@@ -34,7 +34,7 @@ pub mod traffic;
 
 pub use clock::VirtualClock;
 pub use link::{sim_link_pair, LinkConfig, SimTransport};
-pub use metrics::{Cdf, Stopwatch, ThroughputMeter, TimeSeries};
+pub use metrics::{Cdf, ThroughputMeter, TimeSeries};
 pub use radio::{PhyAdapter, RadioEnvironment, UeRadio};
 pub use tcp::{TcpFlow, TcpParams};
 pub use traffic::{CbrSource, FullBufferSource, OnOffSource, PoissonSource, TrafficSource};

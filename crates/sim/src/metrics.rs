@@ -4,12 +4,8 @@
 //!   (the "Throughput (Mb/s)" axis of Figs. 6b, 9, 10, 11, 12a).
 //! * [`TimeSeries`] — `(t, value)` recorder with CSV export.
 //! * [`Cdf`] — empirical CDFs (Fig. 12b).
-//! * [`Stopwatch`] — wall-clock accumulation for the CPU-time
-//!   measurements (Figs. 6a and 8): the paper measures the same quantity
-//!   with OS accounting; we time the identical code sections directly.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 use flexran_types::time::Tti;
 use flexran_types::units::BitRate;
@@ -183,60 +179,6 @@ impl Cdf {
     }
 }
 
-/// Wall-clock accumulation over repeated code sections.
-#[derive(Debug, Clone, Default)]
-pub struct Stopwatch {
-    total: Duration,
-    count: u64,
-    max: Duration,
-}
-
-impl Stopwatch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Time one execution of `f`.
-    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        // A stopwatch measures wall clock by definition; its readings
-        // feed reports only, never scheduling. lint:allow(wall-clock)
-        let start = Instant::now();
-        let out = f();
-        let d = start.elapsed();
-        self.total += d;
-        self.count += 1;
-        self.max = self.max.max(d);
-        out
-    }
-
-    /// Add an externally measured duration.
-    pub fn add(&mut self, d: Duration) {
-        self.total += d;
-        self.count += 1;
-        self.max = self.max.max(d);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn total(&self) -> Duration {
-        self.total
-    }
-
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
-        }
-    }
-
-    pub fn max_sample(&self) -> Duration {
-        self.max
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,16 +252,5 @@ mod tests {
         assert_eq!(lines[0], "t,a,b");
         assert!(lines[1].starts_with("0.000,1.000000,"));
         assert!(lines[2].contains("9.000000"));
-    }
-
-    #[test]
-    fn stopwatch_accumulates() {
-        let mut w = Stopwatch::new();
-        let x = w.time(|| 21 * 2);
-        assert_eq!(x, 42);
-        w.add(Duration::from_micros(5));
-        assert_eq!(w.count(), 2);
-        assert!(w.total() >= Duration::from_micros(5));
-        assert!(w.max_sample() >= w.mean());
     }
 }

@@ -4,7 +4,8 @@
 //! Foundation types shared by every crate in the FlexRAN workspace:
 //! identifiers for network entities (eNodeBs, cells, UEs, bearers), the
 //! LTE time base (TTI / SFN-SF), physical-layer unit types, cell and UE
-//! configuration records, and the common error type.
+//! configuration records, the common error type, and the FNV-1a hash
+//! behind every digest and signature.
 //!
 //! The types here are deliberately small, `Copy` where possible, and free
 //! of any behaviour beyond conversions and invariant checks, so that the
@@ -14,6 +15,7 @@
 pub mod budget;
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod time;
 pub mod units;

@@ -19,18 +19,12 @@ use flexran::sim::link::{FaultConfig, FaultHandle, LinkConfig};
 use flexran::sim::radio::RadioEnvironment;
 use flexran::sim::traffic::{CbrSource, FullBufferSource};
 use flexran::stack::enb::EnbParams;
+use flexran::types::hash::Fnv1a;
 use flexran::types::units::Dbm;
 
 const TTIS: u64 = 3_500;
 const N_ENBS: usize = 3;
 const UES_PER_ENB: usize = 6;
-
-fn fnv_str(h: &mut u64, s: &str) {
-    for b in s.as_bytes() {
-        *h ^= *b as u64;
-        *h = h.wrapping_mul(0x100000001b3);
-    }
-}
 
 /// The scenario: three macro sites in a row, mobile UEs driving across
 /// the cell borders (measurement-report-driven handovers via the
@@ -150,7 +144,7 @@ fn build(workers: Option<usize>, shards: ShardSpec) -> (SimHarness, Vec<UeId>) {
 /// Run the scenario and digest every observable along the way.
 fn run(workers: Option<usize>, shards: ShardSpec) -> (u64, u64, u64) {
     let (mut sim, ues) = build(workers, shards);
-    let mut events_digest = 0xcbf29ce484222325u64;
+    let mut events_digest = Fnv1a::new();
     let mut scratch = String::new();
     for _ in 0..TTIS {
         sim.step();
@@ -158,10 +152,10 @@ fn run(workers: Option<usize>, shards: ShardSpec) -> (u64, u64, u64) {
             scratch.clear();
             use std::fmt::Write as _;
             let _ = write!(scratch, "{enb:?}|{ev:?}");
-            fnv_str(&mut events_digest, &scratch);
+            events_digest.write(scratch.as_bytes());
         }
     }
-    let mut stats_digest = 0xcbf29ce484222325u64;
+    let mut stats_digest = Fnv1a::new();
     for ue in &ues {
         scratch.clear();
         use std::fmt::Write as _;
@@ -171,11 +165,15 @@ fn run(workers: Option<usize>, shards: ShardSpec) -> (u64, u64, u64) {
             sim.serving_enb(*ue),
             sim.ue_stats(*ue)
         );
-        fnv_str(&mut stats_digest, &scratch);
+        stats_digest.write(scratch.as_bytes());
     }
-    let mut rib_digest = 0xcbf29ce484222325u64;
-    fnv_str(&mut rib_digest, &format!("{:?}", sim.master().merged_rib()));
-    (events_digest, stats_digest, rib_digest)
+    let mut rib_digest = Fnv1a::new();
+    rib_digest.write(format!("{:?}", sim.master().merged_rib()).as_bytes());
+    (
+        events_digest.finish(),
+        stats_digest.finish(),
+        rib_digest.finish(),
+    )
 }
 
 #[test]
@@ -243,13 +241,6 @@ fn slab_rib_digests_match_pre_flattening_goldens() {
     const SCALE_TTIS: u64 = 2_100;
     const N_UES: u32 = 16;
 
-    fn fnv_u64(h: &mut u64, v: u64) {
-        for b in v.to_le_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-
     let run_scale_point = |workers: Option<usize>, shards: ShardSpec| -> String {
         let mut sim = SimHarness::new(SimConfig {
             seed: SCALE_SEED,
@@ -272,16 +263,9 @@ fn slab_rib_digests_match_pre_flattening_goldens() {
             sim.set_dl_traffic(ue, Box::new(FullBufferSource::default()));
         }
         sim.run(SCALE_TTIS);
-        let mut h = 0xcbf29ce484222325u64;
-        for id in 1..=N_UES {
-            let s = sim.ue_stats(UeId(id)).expect("UE exists");
-            fnv_u64(&mut h, s.dl_delivered_bits);
-            fnv_u64(&mut h, s.ul_delivered_bits);
-            fnv_u64(&mut h, s.dl_queue_bytes.as_u64());
-            fnv_u64(&mut h, s.cqi.0 as u64);
-            fnv_u64(&mut h, s.harq_tx + s.harq_retx);
-        }
-        format!("{h:016x}")
+        let mut h = Fnv1a::new();
+        sim.fold_end_state((1..=N_UES).map(UeId), &mut h);
+        format!("{:016x}", h.finish())
     };
 
     for workers in [None, Some(2), Some(4)] {
