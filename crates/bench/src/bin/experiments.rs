@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! The experiment runner: regenerates the paper's tables and figures.
 //!
 //! ```sh

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # flexran-bench
 //!
 //! The experiment harness: one module per table/figure of the paper's

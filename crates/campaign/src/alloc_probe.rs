@@ -93,3 +93,13 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
         BYTES.load(Ordering::Relaxed) - b0,
     )
 }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn uninstalled_probe_reads_none() {
+        // This test binary installs no global allocator.
+        let _ = std::hint::black_box(vec![0u8; 64]);
+        assert_eq!(super::thread_allocations(), None);
+    }
+}

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! flexran-campaign — run a multi-seed campaign from the command line.
 //!
 //! ```text

@@ -56,10 +56,15 @@ pub struct ChaosCampaignSpec {
 }
 
 impl ChaosCampaignSpec {
+    /// The default campaign: the full fault mix plus fleet-config
+    /// rollouts, so the config-provenance oracle is exercised against
+    /// corrupted canary pushes, crashing canaries and mid-rollout master
+    /// recoveries.
     pub fn new(seeds: u64, ttis: u64, workers: usize) -> Self {
         ChaosCampaignSpec {
             base: ChaosConfig {
                 ttis,
+                rollout_prob: 0.005,
                 ..ChaosConfig::default()
             },
             seeds,

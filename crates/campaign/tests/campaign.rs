@@ -26,8 +26,7 @@ fn pool_runs_are_bit_identical_to_serial_runs() {
     let spec = small_spec(4, 4);
 
     // Serial ground truth: plain `run_chaos` on the calling thread,
-    // one seed after another — the exact path `experiments chaos` used
-    // before the campaign existed.
+    // one seed after another.
     let serial: Vec<_> = spec.plan().iter().map(|(_, cfg)| run_chaos(cfg)).collect();
 
     // The same plan through the worker pool.
@@ -58,6 +57,21 @@ fn pool_runs_are_bit_identical_to_serial_runs() {
         assert_eq!(counter("wire_windows"), expect.faults.wire_windows);
         assert_eq!(counter("delegations"), expect.faults.delegations);
     }
+}
+
+#[test]
+fn default_spec_rolls_out_configs_under_fire() {
+    // The default campaign carries fleet-config rollouts, so the
+    // config-provenance oracle sees them on the one chaos entry point.
+    let report = run_chaos_campaign(&small_spec(2, 2), &CancelToken::new(), &mut |_| {});
+    assert!(report.pass(), "{}", report.render_text());
+    let rollouts: u64 = report
+        .completed()
+        .flat_map(|r| &r.counters)
+        .filter(|(name, _)| *name == "rollouts")
+        .map(|(_, n)| n)
+        .sum();
+    assert!(rollouts > 0, "no rollout was drawn in the default campaign");
 }
 
 #[test]

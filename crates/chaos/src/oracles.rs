@@ -67,8 +67,14 @@ impl std::fmt::Display for Violation {
         write!(
             f,
             "invariant violated: oracle={} seed={} tti={} — {} \
-             (replay: experiments chaos --seed {})",
-            self.oracle, self.seed, self.tti, self.detail, self.seed
+             (replay: flexran_chaos::run_chaos with seed {} and the same config, \
+             or flexran-campaign chaos --seeds {} with the same flags)",
+            self.oracle,
+            self.seed,
+            self.tti,
+            self.detail,
+            self.seed,
+            self.seed.saturating_add(1)
         )
     }
 }
@@ -499,5 +505,26 @@ impl Oracles {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn violation_names_an_existing_replay_entry_point() {
+        let v = Violation {
+            seed: 7,
+            tti: 812,
+            oracle: "prb-capacity",
+            detail: "cell 0 spent 51 PRBs".into(),
+        };
+        assert_eq!(
+            v.to_string(),
+            "invariant violated: oracle=prb-capacity seed=7 tti=812 — cell 0 spent 51 PRBs \
+             (replay: flexran_chaos::run_chaos with seed 7 and the same config, \
+             or flexran-campaign chaos --seeds 8 with the same flags)"
+        );
     }
 }

@@ -44,15 +44,16 @@ echo "==> rollout smoke gate (8 agents, 1 canary, forced regression -> rollback,
 cargo run --quiet --release -p flexran-bench --bin experiments -- \
     rollout --out target/check-rollout
 
-echo "==> chaos campaign gate (8 seeds x 2000 TTIs, unsharded + 4-shard, parallel)"
-# One campaign covers what used to be two sequential experiment runs:
-# every seed under both the single-shard and the 4-shard master, fanned
+echo "==> chaos campaign gate (8 seeds x 2000 TTIs, unsharded + 4-shard, rollouts under fire, parallel)"
+# Every seed under both the single-shard and the 4-shard master, fanned
 # over the worker pool, failing on any violation (exit 1 pins each one).
 cargo run --quiet --release -p flexran-campaign -- \
     chaos --seeds 8 --ttis 2000 --configs 1,4 --out target/check-chaos
 
 echo "==> benchmark crate (out of the workspace, so nothing above compiles it) + its smoke run"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# --locked: an edit that would rewrite benchmark/Cargo.lock fails here
+# instead of dirtying the tree.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke
 
 echo "All checks passed."
