@@ -476,8 +476,13 @@ pub(crate) fn collect_allows(comments: &[Comment]) -> Vec<(u32, String)> {
     out
 }
 
-/// Line spans `[start, end]` of `#[cfg(test)]` / `#[test]` items.
+/// Line spans `[start, end]` of `#[cfg(test)]` / `#[test]` items, or the
+/// whole file when it opens with `#![cfg(test)]` (an out-of-line test
+/// module, whose `#[cfg(test)] mod` declaration sits in another file).
 pub(crate) fn find_test_spans(toks: &[Tok]) -> Vec<(u32, u32)> {
+    if seq(toks, 0, &["#", "!", "[", "cfg", "(", "test", ")", "]"]) {
+        return vec![(1, u32::MAX)];
+    }
     let mut spans = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -684,6 +689,9 @@ mod tests {
                    fn g() { unsafe { y() } }\n}";
         let ids = lint_ids("proto", src);
         assert_eq!(ids, vec![("U1", 4)]);
+        // An out-of-line test module marks itself with `#![cfg(test)]`.
+        let src = "#![cfg(test)]\nfn f() { x.unwrap(); }\nfn g() { let a = v[0]; }";
+        assert!(lint_ids("proto", src).is_empty());
     }
 
     #[test]

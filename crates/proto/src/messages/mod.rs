@@ -16,6 +16,8 @@ pub mod commands;
 pub mod config;
 pub mod delegation;
 pub mod events;
+#[cfg(test)]
+pub(crate) mod reference;
 pub mod stats;
 
 use bytes::Bytes;

@@ -527,6 +527,7 @@ impl<'a> WireReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::reference::crc32_bitwise;
     use proptest::prelude::*;
 
     #[test]
@@ -565,22 +566,6 @@ mod tests {
         let mut overflow = vec![0xFFu8; 9];
         overflow.push(0x02);
         assert!(get_uvarint(&overflow).is_err());
-    }
-
-    /// The textbook CRC-32: one bit at a time, no table.
-    fn crc32_bitwise(data: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in data {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-        }
-        !crc
     }
 
     /// The varint writer before the one- and two-byte fast paths.

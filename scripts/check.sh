@@ -33,6 +33,9 @@ cargo test --quiet --release -p flexran --features debug-invariants --test maste
 echo "==> scheduler differential oracle, deep run (4 096 cases per scheduler vs the naive references)"
 cargo test --quiet --release -p flexran-stack --lib mac::scheduler::oracle -- --ignored
 
+echo "==> envelope decoder differential oracle, deep run (4 096 well-formed, re-sealed mutated and corrupted envelopes vs the naive reference decoder)"
+cargo test --quiet --release -p flexran-proto --lib messages::reference -- --ignored
+
 echo "==> journal recovery equivalence, deep run (1 024 journaled runs, recovered forest == live forest)"
 cargo test --quiet --release -p flexran --test recovery_equivalence -- --ignored
 
