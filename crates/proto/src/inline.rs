@@ -16,7 +16,7 @@ use std::ops::Deref;
 
 use flexran_types::{FlexError, Result};
 
-use crate::wire::split_uvarint;
+use crate::wire::WireReader;
 
 /// Up to `N` elements of `T`, stored inline.
 #[derive(Clone, Copy)]
@@ -68,19 +68,40 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 }
 
-impl<T: Copy + Default + TryFrom<u64>, const N: usize> InlineVec<T, N> {
-    /// Decode a packed repeated-uint payload (see
-    /// [`WireWriter::packed_uints`](crate::wire::WireWriter::packed_uints)).
+impl<T: Copy + Default + From<u8> + TryFrom<u64>, const N: usize> InlineVec<T, N> {
+    /// Replace the contents with a decoded packed repeated-uint payload
+    /// (see [`WireWriter::packed_uints`](crate::wire::WireWriter::packed_uints)).
     /// A value that does not fit `T` is a `Codec` error, like an element
-    /// too many.
-    pub fn from_packed(mut data: &[u8]) -> Result<Self> {
-        let mut out = Self::new();
-        while !data.is_empty() {
-            let (v, rest) = split_uvarint(data)?;
-            out.try_push(T::try_from(v).map_err(|_| out_of_range(v))?)?;
-            data = rest;
+    /// too many; after an error the contents are unspecified.
+    pub fn read_packed(&mut self, data: &[u8]) -> Result<()> {
+        // Every value one byte (CQIs, BSR indices, HARQ state): one byte
+        // per element, no varint to parse, and every element type fits.
+        if data.len() <= N && data.iter().fold(0, |acc, &b| acc | b) < 0x80 {
+            for (slot, &b) in self.items.iter_mut().zip(data) {
+                *slot = T::from(b);
+            }
+            self.len = data.len() as u8;
+            return Ok(());
         }
-        Ok(out)
+        let mut r = WireReader::new(data);
+        let mut len = 0;
+        for slot in self.items.iter_mut() {
+            if r.is_empty() {
+                break;
+            }
+            let v = r.varint()?;
+            *slot = T::try_from(v).map_err(|_| out_of_range(v))?;
+            len += 1;
+        }
+        self.len = len;
+        if r.is_empty() {
+            return Ok(());
+        }
+        // One element more than fits: a malformed or out-of-range one
+        // reports that first, as when each element was pushed in turn.
+        let v = r.varint()?;
+        T::try_from(v).map_err(|_| out_of_range(v))?;
+        Err(over_capacity(N))
     }
 }
 
@@ -178,18 +199,27 @@ mod tests {
         let bytes = w.finish();
         let (_, field) = WireReader::new(&bytes).next_field().unwrap().unwrap();
         let payload = field.as_bytes().unwrap();
-        let v = InlineVec::<u64, 4>::from_packed(payload).unwrap();
+        let mut v = InlineVec::<u64, 4>::full(9);
+        v.read_packed(payload).unwrap();
         assert_eq!(&v[..], &[0, 1, 300, u64::MAX]);
-        let err = InlineVec::<u64, 3>::from_packed(payload).unwrap_err();
+        let err = InlineVec::<u64, 3>::new().read_packed(payload).unwrap_err();
         assert_eq!(err.category(), "codec");
         // Nor is a value narrowed to fit: 300 is not a u8, u64::MAX no u16.
-        let err = InlineVec::<u8, 4>::from_packed(payload).unwrap_err();
+        let err = InlineVec::<u8, 4>::new().read_packed(payload).unwrap_err();
         assert_eq!(err.category(), "codec");
-        assert!(InlineVec::<u16, 4>::from_packed(payload).is_err());
-        let narrow = InlineVec::<u16, 4>::from_packed(&payload[..4]).unwrap();
+        assert!(InlineVec::<u16, 4>::new().read_packed(payload).is_err());
+        let mut narrow = InlineVec::<u16, 4>::new();
+        narrow.read_packed(&payload[..4]).unwrap();
         assert_eq!(&narrow[..], &[0, 1, 300]);
+        // All one-byte values take the short path, still bounded.
+        let mut small = InlineVec::<u16, 3>::full(9);
+        small.read_packed(&[5, 0, 127]).unwrap();
+        assert_eq!(&small[..], &[5, 0, 127]);
+        small.read_packed(&[]).unwrap();
+        assert!(small.is_empty());
+        assert!(small.read_packed(&[1, 2, 3, 4]).is_err());
         // A truncated varint inside the payload is still a codec error.
         let short = &payload[..payload.len() - 1];
-        assert!(InlineVec::<u64, 4>::from_packed(short).is_err());
+        assert!(InlineVec::<u64, 4>::new().read_packed(short).is_err());
     }
 }

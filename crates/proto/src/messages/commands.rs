@@ -13,7 +13,7 @@ use flexran_types::ids::{CellId, EnbId, Rnti};
 use flexran_types::time::Tti;
 use flexran_types::Result;
 
-use crate::wire::{WireReader, WireWriter};
+use crate::wire::{wire_order_decoder, WireReader, WireWriter};
 
 /// One downlink assignment on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,26 +54,20 @@ impl DciPb {
         w.fixed32(11, self.rb_bitmap);
     }
 
-    fn decode(data: &[u8]) -> Result<DciPb> {
-        let mut m = DciPb::default();
-        let mut r = WireReader::new(data);
-        while let Some((f, v)) = r.next_field()? {
-            match f {
-                1 => m.rnti = v.as_u64()? as u16,
-                2 => m.n_prb = v.as_u64()? as u8,
-                3 => m.mcs = v.as_u64()? as u8,
-                4 => m.harq_pid = (v.as_u64()?.saturating_sub(1)) as u8,
-                5 => m.ndi = v.as_u64()? != 0,
-                6 => m.tpc = v.as_u64()? as u8,
-                7 => m.dai = v.as_u64()? as u8,
-                8 => m.vrb_format = v.as_u64()? as u8,
-                9 => m.aggregation_level = v.as_u64()? as u8,
-                10 => m.tbs_bits = v.as_u32()?,
-                11 => m.rb_bitmap = v.as_u32()?,
-                _ => {}
-            }
+    wire_order_decoder! {
+        DciPb::default(), |m, v| {
+            1 Varint => m.rnti = v.as_u64()? as u16;
+            2 Varint => m.n_prb = v.as_u64()? as u8;
+            3 Varint => m.mcs = v.as_u64()? as u8;
+            4 Varint => m.harq_pid = (v.as_u64()?.saturating_sub(1)) as u8;
+            5 Varint => m.ndi = v.as_u64()? != 0;
+            6 Varint => m.tpc = v.as_u64()? as u8;
+            7 Varint => m.dai = v.as_u64()? as u8;
+            8 Varint => m.vrb_format = v.as_u64()? as u8;
+            9 Varint => m.aggregation_level = v.as_u64()? as u8;
+            10 Varint => m.tbs_bits = v.as_u32()?;
+            11 Fixed32 => m.rb_bitmap = v.as_u32()?;
         }
-        Ok(m)
     }
 }
 
@@ -144,19 +138,13 @@ impl DlSchedulingCommand {
         }
     }
 
-    pub(crate) fn decode(data: &[u8]) -> Result<DlSchedulingCommand> {
-        let mut m = DlSchedulingCommand::default();
-        let mut r = WireReader::new(data);
-        while let Some((f, v)) = r.next_field()? {
-            match f {
-                1 => m.enb_id = EnbId(v.as_u32()?),
-                2 => m.cell = (v.as_u64()?.saturating_sub(1)) as u16,
-                3 => m.target_tti = v.as_u64()?,
-                4 => m.dcis.push(DciPb::decode(v.as_bytes()?)?),
-                _ => {}
-            }
+    wire_order_decoder! {
+        DlSchedulingCommand::default(), |m, v| {
+            1 Varint => m.enb_id = EnbId(v.as_u32()?);
+            2 Varint => m.cell = (v.as_u64()?.saturating_sub(1)) as u16;
+            3 Varint => m.target_tti = v.as_u64()?;
+            4 LengthDelimited repeated => m.dcis.push(DciPb::decode(v.as_bytes()?)?);
         }
-        Ok(m)
     }
 }
 
@@ -181,21 +169,15 @@ impl UlGrantPb {
         w.uint(6, self.hopping as u64);
     }
 
-    fn decode(data: &[u8]) -> Result<UlGrantPb> {
-        let mut m = UlGrantPb::default();
-        let mut r = WireReader::new(data);
-        while let Some((f, v)) = r.next_field()? {
-            match f {
-                1 => m.rnti = v.as_u64()? as u16,
-                2 => m.n_prb = v.as_u64()? as u8,
-                3 => m.mcs = v.as_u64()? as u8,
-                4 => m.tpc = v.as_u64()? as u8,
-                5 => m.cyclic_shift = v.as_u64()? as u8,
-                6 => m.hopping = v.as_u64()? != 0,
-                _ => {}
-            }
+    wire_order_decoder! {
+        UlGrantPb::default(), |m, v| {
+            1 Varint => m.rnti = v.as_u64()? as u16;
+            2 Varint => m.n_prb = v.as_u64()? as u8;
+            3 Varint => m.mcs = v.as_u64()? as u8;
+            4 Varint => m.tpc = v.as_u64()? as u8;
+            5 Varint => m.cyclic_shift = v.as_u64()? as u8;
+            6 Varint => m.hopping = v.as_u64()? != 0;
         }
-        Ok(m)
     }
 }
 
@@ -254,19 +236,13 @@ impl UlSchedulingCommand {
         }
     }
 
-    pub(crate) fn decode(data: &[u8]) -> Result<UlSchedulingCommand> {
-        let mut m = UlSchedulingCommand::default();
-        let mut r = WireReader::new(data);
-        while let Some((f, v)) = r.next_field()? {
-            match f {
-                1 => m.enb_id = EnbId(v.as_u32()?),
-                2 => m.cell = (v.as_u64()?.saturating_sub(1)) as u16,
-                3 => m.target_tti = v.as_u64()?,
-                4 => m.grants.push(UlGrantPb::decode(v.as_bytes()?)?),
-                _ => {}
-            }
+    wire_order_decoder! {
+        UlSchedulingCommand::default(), |m, v| {
+            1 Varint => m.enb_id = EnbId(v.as_u32()?);
+            2 Varint => m.cell = (v.as_u64()?.saturating_sub(1)) as u16;
+            3 Varint => m.target_tti = v.as_u64()?;
+            4 LengthDelimited repeated => m.grants.push(UlGrantPb::decode(v.as_bytes()?)?);
         }
-        Ok(m)
     }
 }
 

@@ -8,9 +8,8 @@
 //! schedule-ahead parameter must cover, §5.3).
 
 use flexran_types::ids::EnbId;
-use flexran_types::Result;
 
-use crate::wire::{WireReader, WireWriter};
+use crate::wire::{wire_order_decoder, WireWriter};
 
 /// Per-TTI synchronization from agent to master.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,22 +30,16 @@ impl SubframeTrigger {
         w.uint(3, self.tti);
     }
 
-    pub(crate) fn decode(data: &[u8]) -> Result<SubframeTrigger> {
-        let mut m = SubframeTrigger::default();
-        let mut r = WireReader::new(data);
-        while let Some((f, v)) = r.next_field()? {
-            match f {
-                1 => m.enb_id = EnbId(v.as_u32()?),
-                2 => {
-                    let packed = v.as_u64()?;
-                    m.sfn = (packed >> 4) as u16;
-                    m.sf = (packed & 0xF) as u8;
-                }
-                3 => m.tti = v.as_u64()?,
-                _ => {}
-            }
+    wire_order_decoder! {
+        SubframeTrigger::default(), |m, v| {
+            1 Varint => m.enb_id = EnbId(v.as_u32()?);
+            2 Varint => {
+                let packed = v.as_u64()?;
+                m.sfn = (packed >> 4) as u16;
+                m.sf = (packed & 0xF) as u8;
+            };
+            3 Varint => m.tti = v.as_u64()?;
         }
-        Ok(m)
     }
 }
 
@@ -218,24 +211,18 @@ impl EventNotification {
         w.packed_uints(9, &self.neighbours_packed);
     }
 
-    pub(crate) fn decode(data: &[u8]) -> Result<EventNotification> {
-        let mut m = EventNotification::default();
-        let mut r = WireReader::new(data);
-        while let Some((f, v)) = r.next_field()? {
-            match f {
-                1 => m.enb_id = EnbId(v.as_u32()?),
-                2 => m.kind = EventKind::from_u64(v.as_u64()?),
-                3 => m.cell = (v.as_u64()?.saturating_sub(1)) as u16,
-                4 => m.rnti = v.as_u64()? as u16,
-                5 => m.ue_tag = (v.as_u64()?.saturating_sub(1)) as u32,
-                6 => m.tti = v.as_u64()?,
-                7 => m.stage = v.as_str()?.to_string(),
-                8 => m.serving_rsrp_decidbm = v.as_i64_zigzag()?,
-                9 => m.neighbours_packed = v.as_packed_uints()?,
-                _ => {}
-            }
+    wire_order_decoder! {
+        EventNotification::default(), |m, v| {
+            1 Varint => m.enb_id = EnbId(v.as_u32()?);
+            2 Varint => m.kind = EventKind::from_u64(v.as_u64()?);
+            3 Varint => m.cell = (v.as_u64()?.saturating_sub(1)) as u16;
+            4 Varint => m.rnti = v.as_u64()? as u16;
+            5 Varint => m.ue_tag = (v.as_u64()?.saturating_sub(1)) as u32;
+            6 Varint => m.tti = v.as_u64()?;
+            7 LengthDelimited => m.stage = v.as_str()?.to_string();
+            8 Varint => m.serving_rsrp_decidbm = v.as_i64_zigzag()?;
+            9 LengthDelimited => m.neighbours_packed = v.as_packed_uints()?;
         }
-        Ok(m)
     }
 }
 

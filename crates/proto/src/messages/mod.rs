@@ -25,7 +25,7 @@ use flexran_types::ids::EnbId;
 use flexran_types::{FlexError, Result};
 
 use crate::category::MessageCategory;
-use crate::wire::{crc32, WireReader, WireWriter};
+use crate::wire::{crc32, wire_order_decoder, WireReader, WireWriter};
 
 pub use commands::{
     AbsCommand, DlSchedulingCommand, DrxCommand, HandoverCommand, ScellCommand, UlSchedulingCommand,
@@ -76,17 +76,11 @@ impl Header {
         w.uint(2, self.xid as u64);
     }
 
-    fn decode(data: &[u8]) -> Result<Header> {
-        let mut h = Header { version: 0, xid: 0 };
-        let mut r = WireReader::new(data);
-        while let Some((f, v)) = r.next_field()? {
-            match f {
-                1 => h.version = v.as_u32()?,
-                2 => h.xid = v.as_u32()?,
-                _ => {}
-            }
+    wire_order_decoder! {
+        Header { version: 0, xid: 0 }, |h, v| {
+            1 Varint => h.version = v.as_u32()?;
+            2 Varint => h.xid = v.as_u32()?;
         }
-        Ok(h)
     }
 }
 

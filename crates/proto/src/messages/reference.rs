@@ -497,7 +497,12 @@ impl Gen {
     /// 0, or a value one, two or up to ten varint bytes wide — the widths
     /// the codec treats differently.
     fn val(&mut self) -> u64 {
-        match self.below(4) {
+        let width = self.below(4);
+        self.val_of(width)
+    }
+
+    fn val_of(&mut self, width: u64) -> u64 {
+        match width {
             0 => 0,
             1 => self.below(0x80),
             2 => self.below(0x4000),
@@ -523,13 +528,21 @@ impl Gen {
         }
     }
 
+    /// A packed field: its elements mostly of one width, as a report's
+    /// are, so the all-one-byte path is taken (and filled to capacity).
     fn inline<T: Copy + Default, const N: usize>(
         &mut self,
         f: impl Fn(u64) -> T,
     ) -> InlineVec<T, N> {
+        let width = self.below(4);
         let mut out = InlineVec::new();
         for _ in 0..self.len(N) {
-            out.try_push(f(self.val())).unwrap();
+            let v = if self.one_in(8) {
+                self.val()
+            } else {
+                self.val_of(width)
+            };
+            out.try_push(f(v)).unwrap();
         }
         out
     }

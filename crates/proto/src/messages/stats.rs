@@ -15,7 +15,7 @@ use flexran_types::ids::EnbId;
 use flexran_types::Result;
 
 use crate::inline::InlineVec;
-use crate::wire::{WireReader, WireWriter};
+use crate::wire::{wire_order_decoder, WireReader, WireWriter};
 
 /// Which statistic groups a report should include (bitmask).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -123,19 +123,13 @@ impl RlcReport {
         w.uint(4, self.status_pdu_bytes as u64);
     }
 
-    fn decode(data: &[u8]) -> Result<RlcReport> {
-        let mut m = RlcReport::default();
-        let mut r = WireReader::new(data);
-        while let Some((f, v)) = r.next_field()? {
-            match f {
-                1 => m.lcid = (v.as_u64()?.saturating_sub(1)) as u8,
-                2 => m.tx_queue_bytes = v.as_u64()?,
-                3 => m.hol_delay_ms = v.as_u64()?,
-                4 => m.status_pdu_bytes = v.as_u32()?,
-                _ => {}
-            }
+    wire_order_decoder! {
+        RlcReport::default(), |m, v| {
+            1 Varint => m.lcid = (v.as_u64()?.saturating_sub(1)) as u8;
+            2 Varint => m.tx_queue_bytes = v.as_u64()?;
+            3 Varint => m.hol_delay_ms = v.as_u64()?;
+            4 Varint => m.status_pdu_bytes = v.as_u32()?;
         }
-        Ok(m)
     }
 }
 
@@ -255,48 +249,42 @@ impl UeReport {
         w.packed_uints(33, &self.active_scells);
     }
 
-    pub(crate) fn decode(data: &[u8]) -> Result<UeReport> {
-        let mut m = UeReport::default();
-        let mut r = WireReader::new(data);
-        while let Some((f, v)) = r.next_field()? {
-            match f {
-                1 => m.rnti = v.as_u64()? as u16,
-                2 => m.connected = v.as_u64()? != 0,
-                3 => m.slice = v.as_u64()? as u8,
-                4 => m.priority_group = v.as_u64()? as u8,
-                5 => m.wideband_cqi = v.as_u64()? as u8,
-                6 => m.subband_cqi = InlineVec::from_packed(v.as_bytes()?)?,
-                7 => m.bsr = InlineVec::from_packed(v.as_bytes()?)?,
-                8 => m.phr_db = v.as_i64_zigzag()?,
-                9 => m.rlc.try_push(RlcReport::decode(v.as_bytes()?)?)?,
-                10 => m.pending_mac_ces = v.as_u32()?,
-                11 => m.harq_states = InlineVec::from_packed(v.as_bytes()?)?,
-                12 => m.ul_sinr_decidb = v.as_i64_zigzag()?,
-                13 => m.ul_subband_sinr = InlineVec::from_packed(v.as_bytes()?)?,
-                14 => m.rsrp_decidbm = v.as_i64_zigzag()?,
-                15 => m.rsrq_decidb = v.as_i64_zigzag()?,
-                16 => m.pdcp_tx_bytes = v.as_u64()?,
-                17 => m.pdcp_tx_sn = v.as_u32()?,
-                18 => m.dl_tbs_bits_total = v.as_u64()?,
-                19 => m.ul_tbs_bits_total = v.as_u64()?,
-                20 => m.harq_tx = v.as_u64()?,
-                21 => m.harq_retx = v.as_u64()?,
-                22 => m.avg_rate_bps = v.as_u64()?,
-                23 => m.last_mcs = v.as_u64()? as u8,
-                24 => m.cqi_timestamp = v.as_u64()?,
-                25 => m.subband_cqi_cw1 = InlineVec::from_packed(v.as_bytes()?)?,
-                26 => m.harq_rounds = InlineVec::from_packed(v.as_bytes()?)?,
-                27 => m.tbs_per_process = InlineVec::from_packed(v.as_bytes()?)?,
-                28 => m.pusch_power_decidbm = v.as_i64_zigzag()?,
-                29 => m.pucch_power_decidbm = v.as_i64_zigzag()?,
-                30 => m.pdcp_rx_bytes = v.as_u64()?,
-                31 => m.pdcp_rx_sn = v.as_u32()?,
-                32 => m.cell = (v.as_u64()?.saturating_sub(1)) as u16,
-                33 => m.active_scells = InlineVec::from_packed(v.as_bytes()?)?,
-                _ => {}
-            }
+    wire_order_decoder! {
+        |m, v| {
+            1 Varint => m.rnti = v.as_u64()? as u16;
+            2 Varint => m.connected = v.as_u64()? != 0;
+            3 Varint => m.slice = v.as_u64()? as u8;
+            4 Varint => m.priority_group = v.as_u64()? as u8;
+            5 Varint => m.wideband_cqi = v.as_u64()? as u8;
+            6 LengthDelimited => m.subband_cqi.read_packed(v.as_bytes()?)?;
+            7 LengthDelimited => m.bsr.read_packed(v.as_bytes()?)?;
+            8 Varint => m.phr_db = v.as_i64_zigzag()?;
+            9 LengthDelimited repeated => m.rlc.try_push(RlcReport::decode(v.as_bytes()?)?)?;
+            10 Varint => m.pending_mac_ces = v.as_u32()?;
+            11 LengthDelimited => m.harq_states.read_packed(v.as_bytes()?)?;
+            12 Varint => m.ul_sinr_decidb = v.as_i64_zigzag()?;
+            13 LengthDelimited => m.ul_subband_sinr.read_packed(v.as_bytes()?)?;
+            14 Varint => m.rsrp_decidbm = v.as_i64_zigzag()?;
+            15 Varint => m.rsrq_decidb = v.as_i64_zigzag()?;
+            16 Varint => m.pdcp_tx_bytes = v.as_u64()?;
+            17 Varint => m.pdcp_tx_sn = v.as_u32()?;
+            18 Varint => m.dl_tbs_bits_total = v.as_u64()?;
+            19 Varint => m.ul_tbs_bits_total = v.as_u64()?;
+            20 Varint => m.harq_tx = v.as_u64()?;
+            21 Varint => m.harq_retx = v.as_u64()?;
+            22 Varint => m.avg_rate_bps = v.as_u64()?;
+            23 Varint => m.last_mcs = v.as_u64()? as u8;
+            24 Varint => m.cqi_timestamp = v.as_u64()?;
+            25 LengthDelimited => m.subband_cqi_cw1.read_packed(v.as_bytes()?)?;
+            26 LengthDelimited => m.harq_rounds.read_packed(v.as_bytes()?)?;
+            27 LengthDelimited => m.tbs_per_process.read_packed(v.as_bytes()?)?;
+            28 Varint => m.pusch_power_decidbm = v.as_i64_zigzag()?;
+            29 Varint => m.pucch_power_decidbm = v.as_i64_zigzag()?;
+            30 Varint => m.pdcp_rx_bytes = v.as_u64()?;
+            31 Varint => m.pdcp_rx_sn = v.as_u32()?;
+            32 Varint => m.cell = (v.as_u64()?.saturating_sub(1)) as u16;
+            33 LengthDelimited => m.active_scells.read_packed(v.as_bytes()?)?;
         }
-        Ok(m)
     }
 
     /// Build a report from data-plane statistics.
@@ -414,23 +402,17 @@ impl CellReport {
         w.uint(8, self.missed_deadlines);
     }
 
-    pub(crate) fn decode(data: &[u8]) -> Result<CellReport> {
-        let mut m = CellReport::default();
-        let mut r = WireReader::new(data);
-        while let Some((f, v)) = r.next_field()? {
-            match f {
-                1 => m.cell_id = (v.as_u64()?.saturating_sub(1)) as u16,
-                2 => m.noise_interference_decidbm = v.as_i64_zigzag()?,
-                3 => m.dl_prbs_used_total = v.as_u64()?,
-                4 => m.ul_prbs_used_total = v.as_u64()?,
-                5 => m.active_ues = v.as_u32()?,
-                6 => m.abs_muted_ttis = v.as_u64()?,
-                7 => m.decisions_applied = v.as_u64()?,
-                8 => m.missed_deadlines = v.as_u64()?,
-                _ => {}
-            }
+    wire_order_decoder! {
+        CellReport::default(), |m, v| {
+            1 Varint => m.cell_id = (v.as_u64()?.saturating_sub(1)) as u16;
+            2 Varint => m.noise_interference_decidbm = v.as_i64_zigzag()?;
+            3 Varint => m.dl_prbs_used_total = v.as_u64()?;
+            4 Varint => m.ul_prbs_used_total = v.as_u64()?;
+            5 Varint => m.active_ues = v.as_u32()?;
+            6 Varint => m.abs_muted_ttis = v.as_u64()?;
+            7 Varint => m.decisions_applied = v.as_u64()?;
+            8 Varint => m.missed_deadlines = v.as_u64()?;
         }
-        Ok(m)
     }
 }
 
@@ -464,19 +446,21 @@ impl StatsReply {
         }
     }
 
-    pub(crate) fn decode(data: &[u8]) -> Result<StatsReply> {
-        let mut m = StatsReply::default();
-        let mut r = WireReader::new(data);
-        while let Some((f, v)) = r.next_field()? {
-            match f {
-                1 => m.enb_id = EnbId(v.as_u32()?),
-                2 => m.tti = v.as_u64()?,
-                3 => m.cells.push(CellReport::decode(v.as_bytes()?)?),
-                4 => m.ues.push(UeReport::decode(v.as_bytes()?)?),
-                _ => {}
-            }
+    wire_order_decoder! {
+        StatsReply::default(), |m, v| {
+            1 Varint => m.enb_id = EnbId(v.as_u32()?);
+            2 Varint => m.tti = v.as_u64()?;
+            3 LengthDelimited repeated => m.cells.push(CellReport::decode(v.as_bytes()?)?);
+            // Each UE report is decoded in its `Vec` slot, not on the
+            // stack and then moved in.
+            4 LengthDelimited repeated => {
+                let data = v.as_bytes()?;
+                m.ues.push(UeReport::default());
+                if let Some(ue) = m.ues.last_mut() {
+                    UeReport::merge_from(ue, data)?;
+                }
+            };
         }
-        Ok(m)
     }
 }
 

@@ -11,6 +11,15 @@
 //! Unknown fields are skipped on decode (forward compatibility, the same
 //! guarantee protobuf gives — and the property the paper leans on for
 //! protocol evolvability).
+//!
+//! Encoders write fields in ascending field-number order, and the
+//! messages of the per-TTI control loop decode in that order:
+//! `wire_order_decoder!` turns one field list per message into an
+//! in-order pass that tests the next expected tag before anything else
+//! (the fast-table idea of upb-style protobuf parsers) and a general
+//! [`WireReader::next_field`] loop for whatever the pass left unread —
+//! out-of-order, duplicated and unknown fields, non-canonical tags —
+//! with identical results.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use flexran_types::{FlexError, Result};
@@ -153,13 +162,10 @@ fn put_uvarint_multibyte(buf: &mut BytesMut, mut v: u64) {
 }
 
 /// Read a base-128 varint, returning `(value, bytes_consumed)`.
-#[inline]
 pub fn get_uvarint(data: &[u8]) -> Result<(u64, usize)> {
-    match *data {
-        [b, ..] if b < 0x80 => Ok((b as u64, 1)),
-        [lo, hi, ..] if hi < 0x80 => Ok(((lo & 0x7F) as u64 | (hi as u64) << 7, 2)),
-        _ => get_uvarint_multibyte(data),
-    }
+    let mut r = WireReader::new(data);
+    let v = r.varint()?;
+    Ok((v, data.len() - r.data.len()))
 }
 
 fn get_uvarint_multibyte(data: &[u8]) -> Result<(u64, usize)> {
@@ -181,16 +187,6 @@ fn get_uvarint_multibyte(data: &[u8]) -> Result<(u64, usize)> {
         shift += 7;
     }
     Err(FlexError::Codec("truncated varint".into()))
-}
-
-/// Split a varint off the front of `data`, returning `(value, rest)` —
-/// the panic-free slicing primitive every decode path below builds on.
-#[inline]
-pub fn split_uvarint(data: &[u8]) -> Result<(u64, &[u8])> {
-    let (v, n) = get_uvarint(data)?;
-    // `get_uvarint` consumed `n <= data.len()` bytes, so the tail always
-    // exists; the `unwrap_or` is unreachable but keeps this panic-free.
-    Ok((v, data.get(n..).unwrap_or(&[])))
 }
 
 /// ZigZag-encode a signed value (protobuf `sint64`).
@@ -424,10 +420,12 @@ impl<'a> WireValue<'a> {
         }
     }
 
+    #[inline]
     pub fn as_u32(&self) -> Result<u32> {
         Ok(self.as_u64()? as u32)
     }
 
+    #[inline]
     pub fn as_i64_zigzag(&self) -> Result<i64> {
         Ok(zigzag_decode(self.as_u64()?))
     }
@@ -439,6 +437,7 @@ impl<'a> WireValue<'a> {
         }
     }
 
+    #[inline]
     pub fn as_bytes(&self) -> Result<&'a [u8]> {
         match self {
             WireValue::Bytes(b) => Ok(b),
@@ -453,15 +452,14 @@ impl<'a> WireValue<'a> {
 
     /// Decode a packed repeated-uint field.
     pub fn as_packed_uints(&self) -> Result<Vec<u64>> {
-        let mut data = self.as_bytes()?;
+        let data = self.as_bytes()?;
         // One varint per byte with the continuation bit clear: exact for
         // well-formed input and never more than `data.len()`, so the
         // vector is sized once instead of grown by doubling.
         let mut out = Vec::with_capacity(data.iter().filter(|b| **b < 0x80).count());
-        while !data.is_empty() {
-            let (v, rest) = split_uvarint(data)?;
-            out.push(v);
-            data = rest;
+        let mut r = WireReader::new(data);
+        while !r.is_empty() {
+            out.push(r.varint()?);
         }
         Ok(out)
     }
@@ -484,45 +482,186 @@ impl<'a> WireReader<'a> {
         if self.data.is_empty() {
             return Ok(None);
         }
-        let (key, rest) = split_uvarint(self.data)?;
-        self.data = rest;
+        let key = self.varint()?;
         let field = (key >> 3) as u32;
         if field == 0 {
             return Err(FlexError::Codec("field number 0 is invalid".into()));
         }
-        let value = match WireType::from_bits(key & 0x7)? {
-            WireType::Varint => {
-                let (v, rest) = split_uvarint(self.data)?;
-                self.data = rest;
-                WireValue::Varint(v)
+        let value = self.value(WireType::from_bits(key & 0x7)?)?;
+        Ok(Some((field, value)))
+    }
+
+    /// Strip tag `key` off the front of the input if its canonical (one-
+    /// or two-byte) encoding is what comes next. Anything else — another
+    /// field, an over-long tag, a key of three or more bytes — is left in
+    /// place for [`Self::next_field`].
+    #[inline(always)]
+    pub fn eat_key(&mut self, key: u32) -> bool {
+        if key < 0x80 {
+            if let Some((&b, rest)) = self.data.split_first() {
+                if b as u32 == key {
+                    self.data = rest;
+                    return true;
+                }
             }
+        } else if key < 0x4000 {
+            if let Some((&[lo, hi], rest)) = self.data.split_first_chunk::<2>() {
+                if lo == key as u8 | 0x80 && hi as u32 == key >> 7 {
+                    self.data = rest;
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// The value of a field of wire type `wt`, whose tag was just read.
+    #[inline(always)]
+    pub fn value(&mut self, wt: WireType) -> Result<WireValue<'a>> {
+        Ok(match wt {
+            WireType::Varint => WireValue::Varint(self.varint()?),
             WireType::Fixed64 => {
                 let Some((bytes, rest)) = self.data.split_first_chunk::<8>() else {
-                    return Err(FlexError::Codec("truncated fixed64".into()));
+                    return Err(truncated("fixed64"));
                 };
                 self.data = rest;
                 WireValue::Fixed64(u64::from_le_bytes(*bytes))
             }
             WireType::LengthDelimited => {
-                let (len, rest) = split_uvarint(self.data)?;
-                self.data = rest;
+                let len = self.varint()?;
                 let Some((v, rest)) = self.data.split_at_checked(len as usize) else {
-                    return Err(FlexError::Codec("truncated length-delimited field".into()));
+                    return Err(truncated("length-delimited field"));
                 };
                 self.data = rest;
                 WireValue::Bytes(v)
             }
             WireType::Fixed32 => {
                 let Some((bytes, rest)) = self.data.split_first_chunk::<4>() else {
-                    return Err(FlexError::Codec("truncated fixed32".into()));
+                    return Err(truncated("fixed32"));
                 };
                 self.data = rest;
                 WireValue::Fixed32(u32::from_le_bytes(*bytes))
             }
-        };
-        Ok(Some((field, value)))
+        })
+    }
+
+    /// Whether the whole input has been read.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// A varint off the front of the input. One- and two-byte values —
+    /// every tag and length of a report and most of its values — are
+    /// read in place; longer ones out of line.
+    #[inline(always)]
+    pub(crate) fn varint(&mut self) -> Result<u64> {
+        match self.data {
+            [b @ 0..=0x7F, rest @ ..] => {
+                self.data = rest;
+                Ok(*b as u64)
+            }
+            [lo, hi @ 0..=0x7F, rest @ ..] => {
+                self.data = rest;
+                Ok((lo & 0x7F) as u64 | (*hi as u64) << 7)
+            }
+            _ => {
+                let (v, n) = get_uvarint_multibyte(self.data)?;
+                // The loop consumed `n <= len` bytes, so the tail always
+                // exists; the `unwrap_or` is unreachable but panic-free.
+                self.data = self.data.get(n..).unwrap_or(&[]);
+                Ok(v)
+            }
+        }
     }
 }
+
+/// Truncated-field error, out of line so the inlined readers stay small.
+#[cold]
+fn truncated(what: &str) -> FlexError {
+    // lint:allow(alloc-reach) error path — materializes only on failure
+    FlexError::Codec(format!("truncated {what}"))
+}
+
+/// Emit a message's decoder from its one field list, written in the
+/// order the encoder emits the fields (ascending field number):
+///
+/// ```ignore
+/// impl CellReport {
+///     wire_order_decoder! {
+///         CellReport::default(), |m, v| {
+///             1 Varint => m.cell_id = (v.as_u64()?.saturating_sub(1)) as u16;
+///             // `repeated`: the field may follow itself on the wire.
+///             9 LengthDelimited repeated => m.rlc.try_push(RlcReport::decode(v.as_bytes()?)?)?;
+///         }
+///     }
+/// }
+/// ```
+///
+/// Each line is a field number, its wire type and a handler that folds
+/// the field's [`WireValue`] `v` into the message `m`. The macro emits
+/// `merge_from(m, data)`, which folds `data` into an existing message,
+/// and — unless the starting value before `|m, v|` is left out, for a
+/// message only ever decoded in place — `decode(data) -> Result<Self>`,
+/// which folds it into that starting value. `merge_from` has two parts:
+///
+/// 1. The in-order pass. For each field in list order it compares the
+///    next one or two bytes with that field's constant tag
+///    ([`WireReader::eat_key`]); on a match it reads the value of the
+///    known wire type directly and runs the handler (again while a
+///    `repeated` field repeats), otherwise it moves on to the next field.
+///    On what the encoder writes — ascending numbers, canonical tags —
+///    this consumes the whole message with one byte compare per field.
+/// 2. The general loop over whatever the pass left unread:
+///    [`WireReader::next_field`] and a `match` on the field number with
+///    the same handlers. It covers out-of-order, duplicated and unknown
+///    fields, non-canonical tags and known fields under another wire
+///    type.
+///
+/// The pass only ever consumes a prefix of the fields, each exactly as
+/// the loop would have, so the result — value or error — is the loop's
+/// alone. `messages::reference` proptests that against a naive decoder.
+macro_rules! wire_order_decoder {
+    (@in_order $r:ident, $num:literal, $wt:ident, , $v:ident => $handler:expr) => {
+        if $r.eat_key(const { ($num << 3) | $crate::wire::WireType::$wt as u32 }) {
+            let $v = $r.value($crate::wire::WireType::$wt)?;
+            $handler;
+        }
+    };
+    (@in_order $r:ident, $num:literal, $wt:ident, repeated, $v:ident => $handler:expr) => {
+        while $r.eat_key(const { ($num << 3) | $crate::wire::WireType::$wt as u32 }) {
+            let $v = $r.value($crate::wire::WireType::$wt)?;
+            $handler;
+        }
+    };
+    (|$m:ident, $v:ident| {
+        $($num:literal $wt:ident $($repeated:ident)? => $handler:expr;)*
+    }) => {
+        pub(crate) fn merge_from($m: &mut Self, data: &[u8]) -> ::flexran_types::Result<()> {
+            let mut r = $crate::wire::WireReader::new(data);
+            $($crate::wire::wire_order_decoder!(@in_order r, $num, $wt, $($repeated)?, $v => $handler);)*
+            while let Some((field, $v)) = r.next_field()? {
+                match field {
+                    $($num => {
+                        $handler;
+                    })*
+                    _ => {}
+                }
+            }
+            Ok(())
+        }
+    };
+    ($init:expr, |$m:ident, $v:ident| { $($fields:tt)* }) => {
+        pub(crate) fn decode(data: &[u8]) -> ::flexran_types::Result<Self> {
+            let mut m = $init;
+            Self::merge_from(&mut m, data)?;
+            Ok(m)
+        }
+
+        $crate::wire::wire_order_decoder!(|$m, $v| { $($fields)* });
+    };
+}
+pub(crate) use wire_order_decoder;
 
 #[cfg(test)]
 mod tests {
@@ -758,8 +897,9 @@ mod tests {
                 // Decoding must not look past the terminator byte.
                 want.push(junk);
                 prop_assert_eq!(get_uvarint(&want).unwrap(), (v, want.len() - 1));
-                let (split, rest) = split_uvarint(&want).unwrap();
-                prop_assert_eq!((split, rest), (v, &[junk][..]));
+                let mut r = WireReader::new(&want);
+                prop_assert_eq!(r.varint().unwrap(), v);
+                prop_assert_eq!(r.data, &[junk][..]);
             }
         }
 
