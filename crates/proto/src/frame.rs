@@ -112,17 +112,29 @@ impl FrameDecoder {
         self.buf.extend_from_slice(data);
     }
 
+    /// The length the frame at the read cursor announces, once its
+    /// 4-byte header is buffered.
+    fn announced_len(&self) -> Option<usize> {
+        let header = self.buf.get(self.head..)?.first_chunk::<4>()?;
+        Some(u32::from_be_bytes(*header) as usize)
+    }
+
+    /// Whether a complete frame is buffered: [`Self::next_frame`] can
+    /// return it without more input.
+    pub fn has_frame(&self) -> bool {
+        self.announced_len()
+            .is_some_and(|len| self.buffered() - 4 >= len)
+    }
+
     /// Pop the next complete frame, if one is buffered. The frame borrows
     /// the decoder's buffer and stays valid until the next `extend`.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>> {
         if let Some(reason) = self.poisoned {
             return Err(corrupt(reason));
         }
-        let live = self.buf.get(self.head..).unwrap_or(&[]);
-        let Some(header) = live.first_chunk::<4>() else {
+        let Some(len) = self.announced_len() else {
             return Ok(None);
         };
-        let len = u32::from_be_bytes(*header) as usize;
         if len > MAX_FRAME_BYTES {
             self.poison("announced frame length exceeds cap");
             return Err(corrupt("announced frame length exceeds cap"));
@@ -200,10 +212,16 @@ mod tests {
         stream.extend_from_slice(&encode_frame(b"bb").unwrap());
         stream.extend_from_slice(&encode_frame(b"").unwrap());
         let mut d = FrameDecoder::new();
-        d.extend(&stream);
+        assert!(!d.has_frame());
+        d.extend(&stream[..4]);
+        assert!(!d.has_frame(), "a header alone is not a frame");
+        d.extend(&stream[4..]);
+        assert!(d.has_frame());
         assert_eq!(d.next_frame().unwrap().unwrap(), b"a");
         assert_eq!(d.next_frame().unwrap().unwrap(), b"bb");
+        assert!(d.has_frame(), "an empty frame is complete");
         assert_eq!(d.next_frame().unwrap().unwrap(), b"");
+        assert!(!d.has_frame());
         assert!(d.next_frame().unwrap().is_none());
     }
 

@@ -170,6 +170,8 @@ pub struct TcpTransport {
     tx_counters: ByteCounters,
     rx_counters: ByteCounters,
     peer_closed: bool,
+    /// `read` calls made on the socket (diagnostics).
+    socket_reads: u64,
 }
 
 impl TcpTransport {
@@ -197,6 +199,7 @@ impl TcpTransport {
             tx_counters: ByteCounters::new(),
             rx_counters: ByteCounters::new(),
             peer_closed: false,
+            socket_reads: 0,
         })
     }
 
@@ -205,8 +208,17 @@ impl TcpTransport {
         self.peer_closed
     }
 
+    /// `read` calls made on the socket so far (diagnostics).
+    pub fn socket_reads(&self) -> u64 {
+        self.socket_reads
+    }
+
+    /// Read what the socket holds into the frame decoder: until a read
+    /// comes back short (the kernel buffer is drained, so another would
+    /// only say `WouldBlock`), the peer closes, or nothing is there.
     fn fill_from_socket(&mut self) -> Result<()> {
         loop {
+            self.socket_reads += 1;
             match self.stream.read(&mut self.read_buf) {
                 Ok(0) => {
                     self.peer_closed = true;
@@ -216,6 +228,9 @@ impl TcpTransport {
                     let (decoder, buf) = (&mut self.decoder, &self.read_buf);
                     // lint:allow(panic) — `n <= buf.len()` per the Read contract.
                     decoder.extend(&buf[..n]);
+                    if n < buf.len() {
+                        return Ok(());
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -263,7 +278,11 @@ impl Transport for TcpTransport {
     }
 
     fn try_recv(&mut self) -> Result<Option<(Header, FlexranMessage)>> {
-        self.fill_from_socket()?;
+        // A frame already buffered (several arrive per read under load)
+        // is served without touching the socket.
+        if !self.decoder.has_frame() {
+            self.fill_from_socket()?;
+        }
         let Some(frame) = self.decoder.next_frame()? else {
             // Once the peer has closed, no further bytes can ever arrive,
             // so surface an error whether the decoder is empty or holds a
@@ -727,6 +746,25 @@ mod tests {
             assert_eq!(ja, jb);
             assert!((0.0..1.0).contains(&ja));
         }
+    }
+
+    #[test]
+    fn back_to_back_frames_take_one_socket_read() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut c = TcpTransport::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+        let mut server = TcpTransport::from_stream(listener.accept().unwrap().0).unwrap();
+        server.send(Header::with_xid(1), &hello(1)).unwrap();
+        server.send(Header::with_xid(2), &hello(2)).unwrap();
+        // Wait until both frames sit in the client's receive buffer.
+        let sent = server.tx_counters().total_bytes() as usize;
+        let mut peek = vec![0u8; 2 * sent];
+        while !matches!(c.stream.peek(&mut peek), Ok(n) if n >= sent) {
+            std::thread::yield_now();
+        }
+        let (h1, m1) = c.try_recv().unwrap().unwrap();
+        let (h2, m2) = c.try_recv().unwrap().unwrap();
+        assert_eq!((h1.xid, m1, h2.xid, m2), (1, hello(1), 2, hello(2)));
+        assert_eq!(c.socket_reads(), 1, "one short read took both frames");
     }
 
     #[test]
