@@ -4,7 +4,10 @@
 //!   runtime scheduler swap, §5.4).
 //! * `proto_*` — FlexRAN protocol encode/decode of the worst-case
 //!   statistics report (what the Fig. 7 load consists of), at 16 UEs
-//!   (the `central_ctrl` benchmark cell, into a kept writer) and 50 UEs.
+//!   (the `central_ctrl` benchmark cell, into a kept writer) and 50 UEs,
+//!   and decode of the other two per-TTI messages of the centralized
+//!   loop: a 10-DCI downlink scheduling command and a scheduling-request
+//!   event.
 //! * `crc32_3700b` — the envelope integrity check over a 3.7 kB envelope
 //!   (the 16-UE report; paid once on encode and once on decode).
 //! * `rib_update` — one full stats report applied by the single-writer
@@ -33,10 +36,14 @@ use flexran::phy::channel::GaussMarkovFading;
 use flexran::phy::link_adaptation::Cqi;
 use flexran::prelude::*;
 use flexran::proto::messages::stats::{ReportFlags, StatsReply, UeReport};
-use flexran::proto::messages::{FlexranMessage, Header, Hello};
+use flexran::proto::messages::{
+    DlSchedulingCommand, EventNotification, FlexranMessage, Header, Hello,
+};
 use flexran::proto::wire::{crc32, WireWriter};
 use flexran::sim::radio::{RadioEnvironment, UeRadio};
 use flexran::sim::traffic::CbrSource;
+use flexran::stack::events::EnbEvent;
+use flexran::stack::mac::dci::{DlDci, DlSchedulingDecision};
 use flexran::stack::mac::scheduler::{
     DlScheduler, DlSchedulerInput, DlSchedulerOutput, ProportionalFairScheduler,
     RoundRobinScheduler, UeSchedInfo,
@@ -112,6 +119,34 @@ fn bench_proto(c: &mut Criterion) {
             b.iter(|| black_box(FlexranMessage::decode(&bytes).unwrap()))
         });
     }
+    let dl = DlSchedulingCommand::from_decision(
+        EnbId(1),
+        &DlSchedulingDecision {
+            cell: CellId(0),
+            target: Tti(12345),
+            dcis: (0..10u16)
+                .map(|i| DlDci {
+                    rnti: Rnti(0x100 + i),
+                    n_prb: 5,
+                    mcs: Mcs(15),
+                })
+                .collect(),
+        },
+    );
+    let bytes = FlexranMessage::DlSchedulingCommand(dl).encode(Header::with_xid(1));
+    c.bench_function("proto_decode_dl_command", |b| {
+        b.iter(|| black_box(FlexranMessage::decode(&bytes).unwrap()))
+    });
+    let sr = EnbEvent::SchedulingRequest {
+        cell: CellId(0),
+        rnti: Rnti(0x105),
+        at: Tti(12345),
+    };
+    let bytes = FlexranMessage::EventNotification(EventNotification::from_enb_event(EnbId(1), &sr))
+        .encode(Header::with_xid(1));
+    c.bench_function("proto_decode_event", |b| {
+        b.iter(|| black_box(FlexranMessage::decode(&bytes).unwrap()))
+    });
     let envelope: Vec<u8> = (0..3_700u32).map(|i| (i * 31 + 7) as u8).collect();
     c.bench_function("crc32_3700b", |b| {
         b.iter(|| black_box(crc32(black_box(&envelope))))
