@@ -121,7 +121,7 @@ impl FrameDecoder {
 
     /// Whether a complete frame is buffered: [`Self::next_frame`] can
     /// return it without more input.
-    pub fn has_frame(&self) -> bool {
+    pub(crate) fn has_frame(&self) -> bool {
         self.announced_len()
             .is_some_and(|len| self.buffered() - 4 >= len)
     }

@@ -496,7 +496,7 @@ impl<'a> WireReader<'a> {
     /// field, an over-long tag, a key of three or more bytes — is left in
     /// place for [`Self::next_field`].
     #[inline(always)]
-    pub fn eat_key(&mut self, key: u32) -> bool {
+    pub(crate) fn eat_key(&mut self, key: u32) -> bool {
         if key < 0x80 {
             if let Some((&b, rest)) = self.data.split_first() {
                 if b as u32 == key {
@@ -517,7 +517,7 @@ impl<'a> WireReader<'a> {
 
     /// The value of a field of wire type `wt`, whose tag was just read.
     #[inline(always)]
-    pub fn value(&mut self, wt: WireType) -> Result<WireValue<'a>> {
+    pub(crate) fn value(&mut self, wt: WireType) -> Result<WireValue<'a>> {
         Ok(match wt {
             WireType::Varint => WireValue::Varint(self.varint()?),
             WireType::Fixed64 => {
@@ -547,7 +547,7 @@ impl<'a> WireReader<'a> {
 
     /// Whether the whole input has been read.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
@@ -587,12 +587,12 @@ fn truncated(what: &str) -> FlexError {
 /// order the encoder emits the fields (ascending field number):
 ///
 /// ```ignore
-/// impl CellReport {
+/// impl Sample {
 ///     wire_order_decoder! {
-///         CellReport::default(), |m, v| {
-///             1 Varint => m.cell_id = (v.as_u64()?.saturating_sub(1)) as u16;
+///         Sample::default(), |m, v| {
+///             1 Varint => m.id = v.as_u32()?;
 ///             // `repeated`: the field may follow itself on the wire.
-///             9 LengthDelimited repeated => m.rlc.try_push(RlcReport::decode(v.as_bytes()?)?)?;
+///             2 LengthDelimited repeated => m.items.push(Item::decode(v.as_bytes()?)?);
 ///         }
 ///     }
 /// }
