@@ -176,6 +176,22 @@ fn run(workers: Option<usize>, shards: ShardSpec) -> (u64, u64, u64) {
     )
 }
 
+/// `(events, stats, RIB)` digests of `run(None, ShardSpec::Auto)`: the
+/// serial one-shard run every other configuration must reproduce.
+const PINNED: (u64, u64, u64) = (
+    0xeb79_4a5b_9277_eb87,
+    0xf2f7_81d6_3e24_bbab,
+    0xeaad_6b63_9fbe_be2b,
+);
+
+#[test]
+fn serial_run_matches_pinned_digests() {
+    let serial = run(None, ShardSpec::Auto);
+    assert_eq!(serial.0, PINNED.0, "event stream diverged from the pin");
+    assert_eq!(serial.1, PINNED.1, "UE stats diverged from the pin");
+    assert_eq!(serial.2, PINNED.2, "RIB diverged from the pin");
+}
+
 #[test]
 fn parallel_engine_is_bit_identical_to_serial() {
     let serial = run(None, ShardSpec::Auto);
