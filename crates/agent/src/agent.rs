@@ -236,10 +236,6 @@ impl<T: Transport> FlexranAgent<T> {
         self.stalled = stalled;
     }
 
-    pub fn is_stalled(&self) -> bool {
-        self.stalled
-    }
-
     pub fn enb(&self) -> &Enb {
         &self.enb
     }

@@ -1,19 +1,17 @@
-//! scale — the parallel multi-eNB TTI engine's perf trajectory.
+//! scale — the multi-eNB TTI engine's perf trajectory.
 //!
 //! Not a paper figure: this experiment records the platform's own
 //! scaling baseline so perf regressions are visible in review. It runs
-//! the same multi-eNodeB simulation serially and fanned out over worker
-//! threads (`SimConfig::workers`), across a grid of eNodeB and UE
-//! counts, and reports:
+//! the same multi-eNodeB simulation with one RIB shard and with one
+//! shard per agent, across a grid of eNodeB and UE counts, and reports:
 //!
 //! * TTIs/second and the per-phase wall-clock split (serial front —
-//!   the master cycle with its fanned-out shard RIB slots — phase A,
-//!   interference coupling, phase B, merge), across worker counts and
-//!   control-plane shard specs,
+//!   the master cycle with its per-shard RIB slots — phase A,
+//!   interference coupling, phase B, merge) for both shard specs,
 //! * heap allocations per TTI (the whole `step`, via the counting
 //!   allocator this crate installs),
 //! * a digest of the end-state observables, asserting the determinism
-//!   contract: serial and parallel runs must be bit-identical,
+//!   contract: the sharded run must be bit-identical to the one-shard run,
 //! * a steady-state allocation probe of the MAC schedulers, asserting
 //!   their zero-allocation hot-path contract,
 //! * TTI latency percentiles from the deadline-budget monitor
@@ -41,7 +39,6 @@ use crate::{csv, f2, ExpContext, ExpResult};
 struct Sample {
     enbs: usize,
     ues_per_enb: usize,
-    workers: usize,
     shards: &'static str,
     ttis: u64,
     ttis_per_sec: f64,
@@ -70,16 +67,9 @@ struct Sample {
 /// comparable to the committed baseline (same total TTI count).
 const WARMUP_TTIS: u64 = 2_000;
 
-fn build(
-    n_enbs: usize,
-    ues_per_enb: usize,
-    workers: Option<usize>,
-    shards: ShardSpec,
-    seed: u64,
-) -> SimHarness {
+fn build(n_enbs: usize, ues_per_enb: usize, shards: ShardSpec, seed: u64) -> SimHarness {
     let mut sim = SimHarness::new(SimConfig {
         seed,
-        workers,
         master: TaskManagerConfig {
             shards,
             ..TaskManagerConfig::default()
@@ -127,12 +117,11 @@ fn digest(sim: &SimHarness, n_enbs: usize, ues_per_enb: usize) -> u64 {
 fn run_point(
     n_enbs: usize,
     ues_per_enb: usize,
-    workers: Option<usize>,
     shards: ShardSpec,
     shards_label: &'static str,
     ttis: u64,
 ) -> Sample {
-    let mut sim = build(n_enbs, ues_per_enb, workers, shards, 7);
+    let mut sim = build(n_enbs, ues_per_enb, shards, 7);
     sim.run(100); // attach + short warm-up (digest parity with baseline)
     sim.reset_budget(); // percentiles cover only the measured window
     let t0_timings = sim.phase_timings();
@@ -145,7 +134,6 @@ fn run_point(
     Sample {
         enbs: n_enbs,
         ues_per_enb,
-        workers: workers.unwrap_or(1),
         shards: shards_label,
         ttis,
         ttis_per_sec: ttis as f64 / wall.as_secs_f64(),
@@ -165,12 +153,11 @@ fn run_point(
     }
 }
 
-/// Steady-state allocation probe of one grid point on the serial
-/// engine: warm up past every buffer ramp, then count heap allocations
+/// Steady-state allocation probe of one one-shard grid point: warm up past every buffer ramp, then count heap allocations
 /// over a measured window. The zero-alloc-TTI contract says this is
 /// exactly 0 — the `scale` experiment asserts it for every grid point.
 fn steady_alloc_probe(n_enbs: usize, ues_per_enb: usize, ttis: u64) -> u64 {
-    let mut sim = build(n_enbs, ues_per_enb, None, ShardSpec::Auto, 7);
+    let mut sim = build(n_enbs, ues_per_enb, ShardSpec::Auto, 7);
     sim.run(WARMUP_TTIS);
     let (_, allocs, _) = alloc_probe::measure(|| sim.run(ttis));
     allocs
@@ -261,21 +248,17 @@ fn sched_alloc_probe() -> Vec<(&'static str, u64)> {
     out
 }
 
-/// The scaling experiment: serial vs parallel TTI engine.
+/// The scaling experiment: one RIB shard vs one shard per agent.
 pub fn scale(ctx: &ExpContext) -> ExpResult {
     let ttis = ctx.ttis(2_000, 300);
-    let parallel_workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
     let grid: &[(usize, usize)] = &[(1, 16), (2, 32), (4, 64), (8, 16), (8, 64)];
 
     let mut r = ExpResult::new(
         "scale",
-        "parallel TTI engine: serial vs worker-pool vs sharded-master scaling",
+        "TTI engine scaling: one RIB shard vs per-agent shards",
         &[
             "eNBs",
             "UEs/eNB",
-            "workers",
             "shards",
             "TTIs/s",
             "phaseA ms",
@@ -290,28 +273,12 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
     let mut rows = Vec::new();
     let mut json_series = Vec::new();
     let mut steady_probes = Vec::new();
-    let mut speedup_8x64 = 0.0;
     let mut front_speedup_4x64 = 0.0;
     let mut all_identical = true;
     for &(enbs, ues) in grid {
-        let serial = run_point(enbs, ues, None, ShardSpec::Auto, "1", ttis);
-        let parallel = run_point(
-            enbs,
-            ues,
-            Some(parallel_workers),
-            ShardSpec::Auto,
-            "1",
-            ttis,
-        );
-        let sharded = run_point(
-            enbs,
-            ues,
-            Some(parallel_workers),
-            ShardSpec::PerAgent,
-            "per-agent",
-            ttis,
-        );
-        let identical = serial.digest == parallel.digest && serial.digest == sharded.digest;
+        let one_shard = run_point(enbs, ues, ShardSpec::Auto, "1", ttis);
+        let sharded = run_point(enbs, ues, ShardSpec::PerAgent, "per-agent", ttis);
+        let identical = one_shard.digest == sharded.digest;
         all_identical &= identical;
         let probe_ttis = ctx.ttis(500, 200);
         let steady_allocs = steady_alloc_probe(enbs, ues, probe_ttis);
@@ -327,18 +294,14 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
             "steady-state allocations regressed at {enbs}x{ues}: {steady_allocs} allocs \
              over {probe_ttis} TTIs after a {WARMUP_TTIS}-TTI warm-up"
         );
-        if (enbs, ues) == (8, 64) {
-            speedup_8x64 = parallel.ttis_per_sec / serial.ttis_per_sec.max(1e-9);
-        }
         if (enbs, ues) == (4, 64) {
             front_speedup_4x64 =
-                serial.serial_front_ns as f64 / (sharded.serial_front_ns as f64).max(1.0);
+                one_shard.serial_front_ns as f64 / (sharded.serial_front_ns as f64).max(1.0);
         }
-        for s in [&serial, &parallel, &sharded] {
+        for s in [&one_shard, &sharded] {
             let cells = vec![
                 s.enbs.to_string(),
                 s.ues_per_enb.to_string(),
-                s.workers.to_string(),
                 s.shards.to_string(),
                 format!("{:.0}", s.ttis_per_sec),
                 f2(s.phase_a_ns as f64 / 1e6),
@@ -354,7 +317,6 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
             json_series.push(serde_json::json!({
                 "enbs": s.enbs,
                 "ues_per_enb": s.ues_per_enb,
-                "workers": s.workers,
                 "shards": s.shards,
                 "ttis": s.ttis,
                 "ttis_per_sec": s.ttis_per_sec,
@@ -380,7 +342,6 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
             &[
                 "enbs",
                 "ues_per_enb",
-                "workers",
                 "shards",
                 "ttis_per_sec",
                 "phase_a_ms",
@@ -404,21 +365,11 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
         "bench": "scale",
         "quick": ctx.quick,
         "ttis_per_point": ttis,
-        "parallel_workers": parallel_workers,
         "series": json_series,
         "steady_state_allocs": steady_probes,
         "sched_alloc_probe": probe_json,
-        "speedup_8x64": speedup_8x64,
         "serial_front_speedup_4x64": front_speedup_4x64,
         "deterministic": all_identical,
-        "note": if parallel_workers <= 1 {
-            "recorded on a single-CPU machine: the worker pool degenerates to \
-             one thread, so parallel speedup is ~1.0x by construction; the \
-             determinism and allocation contracts are still fully exercised"
-        } else {
-            "multi-core machine: speedup_8x64 compares the worker pool against \
-             the serial engine on identical workloads"
-        },
     });
     std::fs::write(
         ctx.out_dir.join("BENCH_scale.json"),
@@ -431,9 +382,9 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
          grid point (asserted; the committed ceiling in `allocgate` is 0)"
     ));
     r.note(format!(
-        "speedup at 8 eNBs × 64 UEs: {:.2}× with {} workers; serial-front speedup at \
-         4 eNBs × 64 UEs with per-agent shards: {:.2}×; observables bit-identical: {}",
-        speedup_8x64, parallel_workers, front_speedup_4x64, all_identical
+        "serial-front speedup at 4 eNBs × 64 UEs with per-agent shards: {:.2}×; \
+         observables bit-identical: {}",
+        front_speedup_4x64, all_identical
     ));
     for (name, allocs) in &probe {
         r.note(format!(
@@ -442,7 +393,7 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
     }
     assert!(
         all_identical,
-        "parallel/sharded run diverged from serial (determinism contract broken)"
+        "per-agent-sharded run diverged from one shard (determinism contract broken)"
     );
     r
 }
@@ -507,7 +458,7 @@ pub fn allocgate(ctx: &ExpContext) -> ExpResult {
     let ttis = ctx.ttis(500, 100);
     let mut r = ExpResult::new(
         "allocgate",
-        "steady-state allocation gates (serial engine)",
+        "steady-state allocation gates",
         &[
             "case",
             "warmup TTIs",
@@ -521,7 +472,7 @@ pub fn allocgate(ctx: &ExpContext) -> ExpResult {
     let cases = [
         (
             "2x32 local",
-            build(2, 32, None, ShardSpec::Auto, 7),
+            build(2, 32, ShardSpec::Auto, 7),
             ALLOC_CEILING_2X32,
         ),
         (

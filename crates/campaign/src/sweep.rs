@@ -88,12 +88,11 @@ impl SweepSpec {
     }
 }
 
-/// Execute one sweep run (serial TTI engine — the campaign pool is the
-/// parallelism) and record its KPIs and end-state digest.
+/// Execute one sweep run (the campaign pool is the parallelism) and
+/// record its KPIs and end-state digest.
 pub fn run_one(run: &SweepRun, spec: &SweepSpec) -> RunRecord {
     let mut sim = SimHarness::new(SimConfig {
         seed: run.seed,
-        workers: None,
         ..SimConfig::default()
     });
     for e in 0..run.enbs {

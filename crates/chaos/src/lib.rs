@@ -248,8 +248,7 @@ pub fn run_chaos_instrumented(config: &ChaosConfig) -> (ChaosReport, ChaosTeleme
             ..TaskManagerConfig::default()
         },
         seed: config.seed,
-        workers: None,
-        tti_budget_ns: flexran::types::budget::DEFAULT_TTI_BUDGET_NS,
+        ..SimConfig::default()
     };
     let mut sim = SimHarness::new(sim_cfg);
     let mut enbs = Vec::new();

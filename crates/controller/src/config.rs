@@ -322,7 +322,6 @@ pub struct RolloutStatus {
 /// store. Owned by the northbound facade; stepped by the master once per
 /// write cycle, strictly serially (it reads per-agent KPIs that span
 /// shards, so it must never run inside a shard's RIB slot).
-// lint:serial-only — fleet-wide state; stepped at the cycle barrier only
 #[derive(Debug, Clone)]
 pub struct RolloutController {
     cfg: RolloutConfig,

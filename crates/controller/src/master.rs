@@ -12,22 +12,19 @@
 //! Since the control-plane sharding (DESIGN.md §"Sharded control
 //! plane"), the RIB slot is partitioned over [`RibShard`]s: each shard
 //! owns a disjoint set of agents with their RIB subtrees, updater and
-//! journal segment, so a harness can fan shard slots out on its worker
-//! pool. A cycle is three steps:
+//! journal segment. A cycle is three steps:
 //!
 //! 1. [`MasterController::begin_cycle`] — serial: route limbo sessions
 //!    (attached but not yet hello'd) to their owning shards.
-//! 2. [`RibShard::run_rib_slot`] per shard — parallelizable: drain the
-//!    shard's sessions through its single writer.
+//! 2. [`RibShard::run_rib_slot`] per shard, in shard-index order: drain
+//!    the shard's sessions through its single writer.
 //! 3. [`MasterController::finish_cycle`] — serial barrier: merge the
 //!    shards' event streams in agent-index order, run the apps slot
 //!    against the shard-transparent [`Northbound`] facade, and route
 //!    staged commands (and cross-shard handover notices) through the
 //!    per-shard mailboxes.
 //!
-//! [`MasterController::run_cycle`] performs all three in order — the
-//! serial execution every existing caller gets, bit-identical to the
-//! fanned-out one.
+//! [`MasterController::run_cycle`] performs all three in order.
 //!
 //! Two pacing modes (paper §4.3.3):
 //! * **virtual time** — [`MasterController::run_cycle`] is called once
@@ -393,9 +390,9 @@ impl MasterController {
         &self.shards
     }
 
-    /// Mutable shard access for harnesses that fan the per-shard RIB
-    /// slots out on a worker pool between [`MasterController::begin_cycle`]
-    /// and [`MasterController::finish_cycle`].
+    /// Mutable shard access for callers that drive the per-shard RIB
+    /// slots themselves between [`MasterController::begin_cycle`] and
+    /// [`MasterController::finish_cycle`].
     pub fn shards_mut(&mut self) -> &mut [RibShard] {
         &mut self.shards
     }
@@ -425,11 +422,6 @@ impl MasterController {
         self.budget.stats()
     }
 
-    /// Cycles whose wall time exceeded the TTI budget so far.
-    pub fn over_budget_cycles(&self) -> u64 {
-        self.budget.stats().over_budget
-    }
-
     /// Forget all deadline-monitor samples (e.g. after a warm-up phase)
     /// without touching the budget itself.
     pub fn reset_budget(&mut self) {
@@ -438,10 +430,6 @@ impl MasterController {
 
     pub fn conflicts(&self) -> u64 {
         self.nb.conflicts()
-    }
-
-    pub fn app_names(&self) -> Vec<String> {
-        self.apps.names()
     }
 
     /// Known agents, in session attach order.
@@ -589,7 +577,6 @@ impl MasterController {
     /// itself rides along in the session's carryover queue, so the shard
     /// folds it through its own single writer this same cycle).
     // lint:no-alloc — serial cycle front, runs every TTI
-    // lint:serial-only — must never run inside a shard's RIB slot
     pub fn begin_cycle(&mut self, now: Tti) {
         self.now = now;
         // Wall-clock here only *measures* the slot (Fig. 8 accounting);
@@ -663,7 +650,6 @@ impl MasterController {
     /// an identity the shard does not own) to their owning shards. The
     /// parked hello rides in the carryover queue and is folded by the
     /// new owner next cycle.
-    // lint:serial-only — moves sessions across shards; single-writer only
     fn rehome_sessions(&mut self) {
         // lint:allow(alloc-reach) populated only when an agent restart re-hello'd
         let mut moving: Vec<(EnbId, Session)> = Vec::new();
@@ -696,7 +682,6 @@ impl MasterController {
     /// shard-transparent facade, route staged commands through the
     /// cross-shard mailboxes, and account the cycle.
     // lint:no-alloc — per-TTI merge + apps slot; steady state is heap-free
-    // lint:serial-only — must never run inside a shard's RIB slot
     pub fn finish_cycle(&mut self, now: Tti) -> CycleStats {
         self.rehome_sessions();
         let rib_slot = self
@@ -786,7 +771,6 @@ impl MasterController {
     /// by at most one transition, route its pushes through the owning
     /// shards' mailboxes (drained right after, same cycle), and journal
     /// the state whenever it transitions.
-    // lint:serial-only — reads fleet-wide state across shards; barrier only
     fn step_rollout(&mut self, now: Tti) {
         self.kpi_scratch.clear();
         self.ack_scratch.clear();
@@ -911,9 +895,7 @@ impl MasterController {
 
     /// Run one Task Manager cycle at master time `now`, serially:
     /// `begin_cycle`, every shard's RIB slot in shard-index order, then
-    /// `finish_cycle`. Harnesses with a worker pool may instead fan the
-    /// shard slots out between the two serial halves — the result is
-    /// bit-identical.
+    /// `finish_cycle`.
     pub fn run_cycle(&mut self, now: Tti) -> CycleStats {
         self.begin_cycle(now);
         for shard in &mut self.shards {

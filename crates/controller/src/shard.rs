@@ -13,7 +13,7 @@
 //! * its own [`RibJournal`] segment (crash recovery replays segments
 //!   independently; the container format is `journal::encode_segments`),
 //! * the agent sessions themselves, so a shard's RIB slot touches no
-//!   state outside the shard and can run on a worker thread.
+//!   state outside the shard.
 //!
 //! [`ShardSpec`] picks the partitioning: `Auto` (one shard — the classic
 //! serial master, the default), `Fixed(n)` (agents hashed over `n`
@@ -22,7 +22,7 @@
 //!
 //! Cross-shard interactions never touch another shard's RIB. They are
 //! explicit [`CrossShardMsg`] values posted to the target shard's
-//! mailbox by the master at the serial barrier after the shard fan-out:
+//! mailbox by the master at the barrier after the shards' RIB slots:
 //! staged northbound commands are routed to the owning shard's sessions,
 //! and a handover whose source and target agents live in different
 //! shards additionally posts a [`CrossShardMsg::HandoverNotice`] to the
@@ -212,8 +212,8 @@ pub(crate) const RESYNC_NUDGE_PERIOD: u64 = 25;
 
 /// A typed cross-shard message. The only way state crosses a shard
 /// boundary: posted to the target shard's mailbox by the master and
-/// drained serially (shard-index order) at the barrier after the shard
-/// fan-out, so multi-shard runs stay bit-identical to 1-shard runs.
+/// drained in shard-index order at the barrier after the shards' RIB
+/// slots, so multi-shard runs stay bit-identical to 1-shard runs.
 #[derive(Debug)]
 pub enum CrossShardMsg {
     /// A staged northbound command routed to the shard owning `enb`.
@@ -273,8 +273,7 @@ fn owns_enb(
 
 /// One shard of the partitioned master: a disjoint set of agents with
 /// their RIB subtrees, single-writer updater, journal segment, and
-/// sessions. `run_rib_slot` touches nothing outside the shard, so the
-/// master fans shards out on the scoped worker pool.
+/// sessions. `run_rib_slot` touches nothing outside the shard.
 pub struct RibShard {
     index: usize,
     spec: ShardSpec,

@@ -59,11 +59,9 @@ pub struct SimConfig {
     pub downlink: LinkConfig,
     pub master: TaskManagerConfig,
     pub seed: u64,
-    /// Worker threads for the per-agent TTI phases. `None` (the
-    /// default) runs every agent serially on the calling thread;
-    /// `Some(n)` fans phase A and phase B out over `n` scoped worker
-    /// threads. Observables are bit-identical either way — see
-    /// DESIGN.md §"Simulation engine" for the determinism contract.
+    /// Ignored: the TTI engine is one serial loop. The field stays so
+    /// that code written against the former parallel engine still
+    /// compiles; no setting of it changes what a run does or observes.
     pub workers: Option<usize>,
     /// Whole-step wall-time deadline for the TTI budget monitor
     /// (nanoseconds; LTE subframe = 1 ms). Observability only — the
@@ -90,127 +88,26 @@ impl Default for SimConfig {
 pub struct PhaseTimings {
     /// Number of `step` calls accumulated.
     pub steps: u64,
-    /// Master cycle: serial begin/finish around the fanned-out
-    /// per-shard RIB slots (parallel when `workers` is set and the
-    /// master has more than one shard).
+    /// Master cycle: begin, every shard's RIB slot, finish.
     pub serial_front_ns: u64,
     /// Phase A across all agents, including per-agent traffic and
-    /// measurement injection (parallel when `workers` is set).
+    /// measurement injection.
     pub phase_a_ns: u64,
-    /// Interference-coupling barrier (serial).
+    /// Interference coupling between the two phases.
     pub coupling_ns: u64,
-    /// Phase B across all agents (parallel when `workers` is set).
+    /// Phase B across all agents.
     pub phase_b_ns: u64,
-    /// Event/handover merge in agent-index order (serial).
+    /// Event/handover merge in agent-index order.
     pub merge_ns: u64,
 }
 
-/// Per-agent output of phase B, collected before the serial merge so
-/// the application order is agent-index order regardless of which
-/// worker thread ran which agent.
+/// Per-agent output of phase B, collected for every agent before the
+/// merge so that no agent's phase B sees another agent's events of the
+/// same TTI applied (see [`SimHarness::step`]).
 #[derive(Default)]
 struct PhaseBOut {
     events: Vec<EnbEvent>,
     handovers: Vec<flexran_agent::HandoverRequest>,
-}
-
-/// Run `f(i, &mut items[i])` for every item, writing the result into
-/// `out[i]`. With `workers > 1` the index space is split into
-/// contiguous chunks, one scoped thread per chunk; each thread touches
-/// a disjoint `&mut` slice of items and outputs, so the only
-/// synchronization is the scope join and the index-addressed outputs
-/// give callers a deterministic merge order.
-fn fan_out<T, R, F>(items: &mut [T], out: &mut Vec<R>, workers: usize, f: F)
-where
-    T: Send,
-    R: Send + Default,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    out.clear();
-    out.resize_with(items.len(), R::default);
-    let workers = workers.clamp(1, items.len().max(1));
-    if workers <= 1 {
-        for (i, (item, slot)) in items.iter_mut().zip(out.iter_mut()).enumerate() {
-            // The closure body is analyzed at its definition site
-            // (closures-as-edges), not through this `Fn`. lint:alloc-free-callee
-            *slot = f(i, item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(workers);
-    // Scoped worker spawn: thread stacks are the worker pool's cost, not
-    // RIB-path heap traffic; the allocgate steady-state run pins
-    // workers=1 where this branch never executes. lint:allow(alloc-reach)
-    std::thread::scope(|s| {
-        let f = &f;
-        for (ci, (item_chunk, out_chunk)) in items
-            .chunks_mut(chunk)
-            .zip(out.chunks_mut(chunk))
-            .enumerate()
-        {
-            // lint:allow(alloc-reach) per-worker spawn, see scope above
-            s.spawn(move || {
-                for (j, (item, slot)) in item_chunk.iter_mut().zip(out_chunk.iter_mut()).enumerate()
-                {
-                    // lint:alloc-free-callee closure analyzed at definition site
-                    *slot = f(ci * chunk + j, item);
-                }
-            });
-        }
-    });
-}
-
-/// Two-slice variant of [`fan_out`] for phases that need a disjoint
-/// `&mut` pair per index (an agent and its UE bucket). Chunking and
-/// merge order are identical to `fan_out`, so serial and parallel runs
-/// stay bit-identical.
-fn fan_out2<A, B, R, F>(a: &mut [A], b: &mut [B], out: &mut Vec<R>, workers: usize, f: F)
-where
-    A: Send,
-    B: Send,
-    R: Send + Default,
-    F: Fn(usize, &mut A, &mut B) -> R + Sync,
-{
-    assert_eq!(a.len(), b.len(), "fan_out2 over unequal slices");
-    out.clear();
-    out.resize_with(a.len(), R::default);
-    let workers = workers.clamp(1, a.len().max(1));
-    if workers <= 1 {
-        for (i, ((ai, bi), slot)) in a
-            .iter_mut()
-            .zip(b.iter_mut())
-            .zip(out.iter_mut())
-            .enumerate()
-        {
-            // lint:alloc-free-callee closure analyzed at definition site
-            *slot = f(i, ai, bi);
-        }
-        return;
-    }
-    let chunk = a.len().div_ceil(workers);
-    // lint:allow(alloc-reach) worker fan-out — same rationale as fan_out
-    std::thread::scope(|s| {
-        let f = &f;
-        for (ci, ((ac, bc), oc)) in a
-            .chunks_mut(chunk)
-            .zip(b.chunks_mut(chunk))
-            .zip(out.chunks_mut(chunk))
-            .enumerate()
-        {
-            // lint:allow(alloc-reach) per-worker spawn, see scope above
-            s.spawn(move || {
-                for (j, ((ai, bi), slot)) in ac
-                    .iter_mut()
-                    .zip(bc.iter_mut())
-                    .zip(oc.iter_mut())
-                    .enumerate()
-                {
-                    // lint:alloc-free-callee closure analyzed at definition site
-                    *slot = f(ci * chunk + j, ai, bi);
-                }
-            });
-        }
-    });
 }
 
 /// Shared lookup into the per-agent UE buckets (the permanent home of
@@ -239,14 +136,13 @@ fn ue_entry_mut<'a>(
     Some(&mut b[i].1)
 }
 
-/// One UE's per-TTI traffic-source and measurement-report injection,
-/// entirely local to the owning agent so the per-agent phase-A fan-out
-/// can run it on worker threads. `rsrp_all_sites` is pure geometry (it
-/// ignores the shared active-site set), so moving this off the serial
-/// front does not change any simulation result.
+/// One UE's per-TTI traffic-source and measurement-report injection
+/// into its owning agent, run just before that agent's phase A.
+/// `rsrp_all_sites` is pure geometry (it ignores the active-site set),
+/// so a report does not depend on which agents ran before.
 fn drive_ue_traffic(
     agent: &mut FlexranAgent<SimTransport>,
-    radio: &RadioEnvironment,
+    radio: &mut RadioEnvironment,
     ue: UeId,
     entry: &mut UeEntry,
     now: Tti,
@@ -501,14 +397,6 @@ impl SimHarness {
         self.master_down
     }
 
-    /// eNodeB ids, in agent-index order.
-    pub fn enb_ids(&self) -> Vec<EnbId> {
-        self.agents
-            .iter()
-            .map(|a| a.enb().config().enb_id)
-            .collect()
-    }
-
     pub fn config(&self) -> &SimConfig {
         &self.config
     }
@@ -566,10 +454,6 @@ impl SimHarness {
         self.agents[i].crash_restart();
         let _ = self.agents[i].transport_mut().purge_inbound();
         Ok(())
-    }
-
-    pub fn radio_mut(&mut self) -> &mut RadioEnvironment {
-        &mut self.radio
     }
 
     pub fn now(&self) -> Tti {
@@ -816,72 +700,56 @@ impl SimHarness {
         let now = self.now;
         self.clock.advance_to(now);
 
-        // 1. Master cycle (commands ride the links this TTI): a serial
-        //    begin (limbo routing, cycle clock), the per-shard RIB
-        //    slots fanned out over the worker pool, and a serial finish
-        //    (agent-index-ordered event merge, apps slot, cross-shard
-        //    mailbox). A crashed master runs nothing, and its dead
-        //    sockets swallow whatever the agents send.
-        let workers = self.config.workers.unwrap_or(1).max(1);
+        // 1. Master cycle (commands ride the links this TTI): begin
+        //    (limbo routing, cycle clock), every shard's RIB slot, and
+        //    finish (agent-index-ordered event merge, apps slot,
+        //    cross-shard mailbox). A crashed master runs nothing, and its
+        //    dead sockets swallow whatever the agents send.
         if self.master_down {
             for t in &mut self.parked_transports {
                 let _ = t.purge_inbound();
             }
         } else {
-            self.master.begin_cycle(now);
-            // lint:allow(hot-alloc) Vec<()> of ZSTs can never allocate
-            let mut unit: Vec<()> = Vec::new();
-            fan_out(self.master.shards_mut(), &mut unit, workers, |_, shard| {
-                shard.run_rib_slot(now);
-            });
-            self.master.finish_cycle(now);
+            self.master.run_cycle(now);
         }
 
         // Profiling only, as above. lint:allow(wall-clock)
         let t_front = std::time::Instant::now();
         self.timings.serial_front_ns += (t_front - t_start).as_nanos() as u64;
 
-        // 2. Traffic, measurements and phase A, per agent, fanned out
-        //    over the worker pool when configured. UE entries are
-        //    bucketed by owning agent (UeId order preserved within each
-        //    bucket) so every injection is agent-local; measurements in
-        //    this phase use the declared activity hints (restricted
-        //    measurements).
+        // 2. Traffic, measurements and phase A, agent by agent. UE
+        //    entries are bucketed by owning agent (UeId order preserved
+        //    within each bucket) so every injection is agent-local;
+        //    measurements in this phase use the declared activity hints
+        //    (restricted measurements).
         let mut sites = std::mem::take(&mut self.site_scratch);
         self.measurement_active_sites_into(now, &mut sites);
         self.radio.set_active_sites(&sites);
+        if self.ue_buckets.len() < self.agents.len() {
+            // lint:allow(hot-alloc) grows only when an eNB is added (cold)
+            self.ue_buckets.resize_with(self.agents.len(), Vec::new);
+        }
+        for (i, (agent, ues)) in self
+            .agents
+            .iter_mut()
+            .zip(self.ue_buckets.iter_mut())
+            .enumerate()
         {
-            if self.ue_buckets.len() < self.agents.len() {
-                // lint:allow(hot-alloc) grows only when an eNB is added (cold)
-                self.ue_buckets.resize_with(self.agents.len(), Vec::new);
+            for (ue, entry) in ues.iter_mut() {
+                drive_ue_traffic(agent, &mut self.radio, *ue, entry, now);
             }
-            let radio = &self.radio;
-            let maps = &self.rnti_maps;
-            // lint:allow(hot-alloc) Vec<()> of ZSTs can never allocate
-            let mut unit: Vec<()> = Vec::new();
-            fan_out2(
-                &mut self.agents,
-                &mut self.ue_buckets,
-                &mut unit,
-                workers,
-                |i, agent, ues| {
-                    for (ue, entry) in ues.iter_mut() {
-                        drive_ue_traffic(agent, radio, *ue, entry, now);
-                    }
-                    let mut phy = PhyAdapter {
-                        radio,
-                        rnti_map: &maps[i],
-                    };
-                    agent.phase_a(now, &mut phy);
-                },
-            );
+            let mut phy = PhyAdapter {
+                radio: &mut self.radio,
+                rnti_map: &self.rnti_maps[i],
+            };
+            agent.phase_a(now, &mut phy);
         }
         // Profiling only, as above. lint:allow(wall-clock)
         let t_a = std::time::Instant::now();
         self.timings.phase_a_ns += (t_a - t_front).as_nanos() as u64;
 
         // 3. Interference coupling: which sites put energy on the air.
-        //    This is the serial barrier between the two phases.
+        //    Every agent's phase A has decided its transmissions by now.
         sites.clear();
         for agent in &self.agents {
             let enb_id = agent.enb().config().enb_id;
@@ -901,22 +769,20 @@ impl SimHarness {
         self.timings.coupling_ns += (t_couple - t_a).as_nanos() as u64;
 
         // 4. Phase B on every agent, outputs collected per agent index.
-        //    The serial and parallel paths share this collect-then-merge
-        //    shape, so the merge below sees the same inputs in the same
-        //    order either way.
+        //    Nothing is merged until every agent has run: a handover
+        //    admitted during the merge changes the target agent's UE
+        //    set, which that agent must not see before its own phase B
+        //    of this TTI.
         let mut outs = std::mem::take(&mut self.phase_b_out);
-        {
-            let radio = &self.radio;
-            let maps = &self.rnti_maps;
-            fan_out(&mut self.agents, &mut outs, workers, |i, agent| {
-                let mut phy = PhyAdapter {
-                    radio,
-                    rnti_map: &maps[i],
-                };
-                let events = agent.phase_b(now, &mut phy);
-                let handovers = agent.take_handover_requests();
-                PhaseBOut { events, handovers }
-            });
+        outs.clear();
+        for (agent, rnti_map) in self.agents.iter_mut().zip(&self.rnti_maps) {
+            let mut phy = PhyAdapter {
+                radio: &mut self.radio,
+                rnti_map,
+            };
+            let events = agent.phase_b(now, &mut phy);
+            let handovers = agent.take_handover_requests();
+            outs.push(PhaseBOut { events, handovers });
         }
         // Profiling only, as above. lint:allow(wall-clock)
         let t_b = std::time::Instant::now();
@@ -1124,7 +990,7 @@ impl VanillaHarness {
         self.now = self.now.next();
         let now = self.now;
         let mut phy = PhyAdapter {
-            radio: &self.radio,
+            radio: &mut self.radio,
             rnti_map: &self.rnti_map,
         };
         self.enb.begin_tti(now, &mut phy);
@@ -1170,7 +1036,7 @@ impl VanillaHarness {
             }
         }
         let mut phy = PhyAdapter {
-            radio: &self.radio,
+            radio: &mut self.radio,
             rnti_map: &self.rnti_map,
         };
         self.enb.finish_tti(now, &mut phy);

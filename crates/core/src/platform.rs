@@ -26,12 +26,10 @@ pub struct Platform {
     degraded_after: u64,
     fallback_dl_scheduler: String,
     reconnect_backoff: BackoffConfig,
-    master: TaskManagerConfig,
     agent: AgentConfig,
     uplink: LinkConfig,
     downlink: LinkConfig,
     seed: u64,
-    workers: Option<usize>,
     shards: ShardSpec,
 }
 
@@ -49,12 +47,10 @@ impl Platform {
             degraded_after: 0,
             fallback_dl_scheduler: "round-robin".into(),
             reconnect_backoff: BackoffConfig::default(),
-            master: TaskManagerConfig::default(),
             agent: AgentConfig::default(),
             uplink: LinkConfig::ideal(),
             downlink: LinkConfig::ideal(),
             seed: 1,
-            workers: None,
             shards: ShardSpec::Auto,
         }
     }
@@ -93,12 +89,6 @@ impl Platform {
         self
     }
 
-    /// Base master configuration (liveness timeout is overlaid on top).
-    pub fn master_config(mut self, config: TaskManagerConfig) -> Self {
-        self.master = config;
-        self
-    }
-
     /// Base agent configuration (liveness knobs are overlaid on top).
     pub fn agent_config(mut self, config: AgentConfig) -> Self {
         self.agent = config;
@@ -117,13 +107,6 @@ impl Platform {
         self
     }
 
-    /// Worker threads for the harness's per-agent TTI phases. `None`
-    /// (default) is fully serial; results are bit-identical either way.
-    pub fn workers(mut self, workers: Option<usize>) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Control-plane sharding: how agents are partitioned across RIB
     /// shards ([`ShardSpec::Auto`], the default, keeps the single-shard
     /// behaviour every pre-shard configuration had). Apps never see
@@ -138,7 +121,7 @@ impl Platform {
         TaskManagerConfig {
             liveness_timeout: self.liveness_timeout,
             shards: self.shards,
-            ..self.master
+            ..TaskManagerConfig::default()
         }
     }
 
@@ -170,8 +153,8 @@ impl Platform {
             downlink: self.downlink,
             master: self.build_master_config(),
             seed: self.seed,
-            workers: self.workers,
             tti_budget_ns: self.build_master_config().tti_budget_ns,
+            ..SimConfig::default()
         })
     }
 }

@@ -25,7 +25,7 @@ use crate::symbols::{Call, FileSummary, FnSym, Site};
 
 /// Bump on any change to the lexer, the lint catalog, the summary
 /// shape, or this file format.
-pub const CACHE_VERSION: u32 = 1;
+pub const CACHE_VERSION: u32 = 2;
 
 /// Workspace-relative location of the cache file.
 pub fn cache_path(root: &Path) -> PathBuf {
@@ -106,10 +106,7 @@ impl Cache {
                 ));
             }
             for f in &e.summary.fns {
-                let flags = (f.is_test as u8)
-                    | (f.no_alloc_root as u8) << 1
-                    | (f.serial_only as u8) << 2
-                    | (f.parallel_root as u8) << 3;
+                let flags = (f.is_test as u8) | (f.no_alloc_root as u8) << 1;
                 out.push_str(&format!(
                     "F {} {} {} {} {}\n",
                     f.line,
@@ -121,8 +118,7 @@ impl Cache {
                 for c in &f.calls {
                     let cflags = (c.method as u8)
                         | (c.assume_alloc_free as u8) << 1
-                        | (c.allow_phase as u8) << 2
-                        | (c.allow_alloc_reach as u8) << 3;
+                        | (c.allow_alloc_reach as u8) << 2;
                     out.push_str(&format!(
                         "C {} {} {} {}\n",
                         c.line,
@@ -229,8 +225,6 @@ fn parse(text: &str) -> Option<Cache> {
                     line: line_no,
                     is_test: flags & 1 != 0,
                     no_alloc_root: flags & 2 != 0,
-                    serial_only: flags & 4 != 0,
-                    parallel_root: flags & 8 != 0,
                     calls: Vec::new(),
                     allocs: Vec::new(),
                     panics: Vec::new(),
@@ -248,8 +242,7 @@ fn parse(text: &str) -> Option<Cache> {
                     method: flags & 1 != 0,
                     qualifier: opt(it.next()?),
                     assume_alloc_free: flags & 2 != 0,
-                    allow_phase: flags & 4 != 0,
-                    allow_alloc_reach: flags & 8 != 0,
+                    allow_alloc_reach: flags & 4 != 0,
                 });
             }
             "A" | "P" => {
@@ -285,7 +278,7 @@ mod tests {
             let s = x.to_vec();
             x.unwrap();
         }
-        // lint:serial-only
+        // lint:no-alloc
         fn barrier() { WireWriter::seal(w); }";
         let summary = summarize("proto", "crates/proto/src/x.rs", src);
         let diags = vec![Diagnostic {

@@ -12,7 +12,7 @@
 //! per-file symbol table on the same hand-rolled lexer, [`callgraph`]
 //! builds a conservative workspace call graph over it, and [`reach`]
 //! walks the graph to enforce the transitive lints (A2 no-alloc
-//! reachability, P2 panic reachability, S1 shard/phase discipline).
+//! reachability, P2 panic reachability).
 //! Per-file results are memoized in a content-hash keyed cache
 //! ([`cache`]) so warm runs skip re-lexing the workspace.
 //!

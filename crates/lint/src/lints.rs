@@ -40,7 +40,7 @@ use std::collections::BTreeSet;
 
 use crate::lexer::{lex, Comment, Tok, TokKind};
 
-/// Lint identifiers. `A2`/`P2`/`S1` are the interprocedural lints
+/// Lint identifiers. `A2`/`P2` are the interprocedural lints
 /// computed over the workspace call graph (see [`crate::reach`]); the
 /// rest are per-file token lints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -57,13 +57,10 @@ pub enum LintId {
     /// Transitive panic-reachability: nothing reachable from the
     /// control-plane runtime crates may panic, even in other crates.
     P2,
-    /// Shard/phase discipline: nothing reachable from a parallel-phase
-    /// root (`run_rib_slot`) may call a serial-phase-only function.
-    S1,
 }
 
 impl LintId {
-    pub const ALL: [LintId; 9] = [
+    pub const ALL: [LintId; 8] = [
         LintId::D1,
         LintId::D2,
         LintId::P1,
@@ -72,7 +69,6 @@ impl LintId {
         LintId::U1,
         LintId::A2,
         LintId::P2,
-        LintId::S1,
     ];
 
     /// Stable id used in diagnostics and the baseline file.
@@ -86,7 +82,6 @@ impl LintId {
             LintId::U1 => "U1",
             LintId::A2 => "A2",
             LintId::P2 => "P2",
-            LintId::S1 => "S1",
         }
     }
 
@@ -101,7 +96,6 @@ impl LintId {
             LintId::U1 => "unsafe",
             LintId::A2 => "alloc-reach",
             LintId::P2 => "panic-reach",
-            LintId::S1 => "phase-discipline",
         }
     }
 

@@ -1,4 +1,4 @@
-//! The reachability engine: A2, P2 and S1 over the workspace call graph.
+//! The reachability engine: A2 and P2 over the workspace call graph.
 //!
 //! * **A2 `alloc-reach`** — from every no-alloc root (`*_into` name or
 //!   `// lint:no-alloc` marker), walk the conservative graph; any
@@ -17,13 +17,6 @@
 //!   control plane calls into, and flagging it transitively would bury
 //!   the real signal (torn-down control planes come from `unwrap`, not
 //!   from proven bounds).
-//! * **S1 `phase-discipline`** — roots are `run_rib_slot` and anything
-//!   marked `// lint:parallel-phase`; targets are functions marked
-//!   `// lint:serial-only` (`begin_cycle`, `finish_cycle`, session
-//!   re-homing). Any call edge from the parallel-phase cone into a
-//!   serial-only function fires unless the site carries
-//!   `lint:allow(phase-discipline)`. This turns PR 6's cfg-gated
-//!   runtime phase guard into a static gate.
 //!
 //! Every diagnostic carries its witness path (`root → … → callee`) so a
 //! finding is actionable without re-running the analysis by hand.
@@ -100,7 +93,7 @@ fn witness(graph: &CallGraph, parent: &BTreeMap<usize, (usize, u32)>, node: usiz
     }
 }
 
-/// Run all three interprocedural lints. Diagnostics come back
+/// Run both interprocedural lints. Diagnostics come back
 /// deduplicated by `(file, line, lint)` and unsorted — the caller merges
 /// them into the per-file stream and sorts once.
 pub fn analyze(graph: &CallGraph) -> Vec<Diagnostic> {
@@ -119,7 +112,6 @@ pub fn analyze(graph: &CallGraph) -> Vec<Diagnostic> {
 
     a2(graph, &mut emit);
     p2(graph, &mut emit);
-    s1(graph, &mut emit);
     diags
 }
 
@@ -211,45 +203,6 @@ fn p2(graph: &CallGraph, emit: &mut impl FnMut(LintId, &str, u32, String)) {
     }
 }
 
-fn s1(graph: &CallGraph, emit: &mut impl FnMut(LintId, &str, u32, String)) {
-    let roots: Vec<usize> = (0..graph.fns.len())
-        .filter(|&i| {
-            let f = &graph.fns[i];
-            (f.sym.parallel_root || f.sym.name == "run_rib_slot") && !f.sym.is_test
-        })
-        .collect();
-    // Don't traverse *into* serial-only functions: the violation is the
-    // edge; flagging the serial body's own callees would be noise.
-    let (order, parent) = bfs(graph, &roots, |_, _, t| !graph.fns[t].sym.serial_only);
-    for &n in &order {
-        let f = &graph.fns[n];
-        for (call, res) in &graph.calls[n] {
-            let Resolution::Workspace(targets) = res else {
-                continue;
-            };
-            if call.allow_phase {
-                continue;
-            }
-            for &t in targets {
-                if graph.fns[t].sym.serial_only {
-                    emit(
-                        LintId::S1,
-                        f.file,
-                        call.line,
-                        format!(
-                            "serial-phase-only `{}` called from the parallel phase \
-                             [{} -> {}]; shard slots must not run barrier-phase code",
-                            graph.label(t),
-                            witness(graph, &parent, n),
-                            graph.label(t),
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,37 +284,5 @@ mod tests { fn t() { flexran_stack_helper(&[]); } }";
             ("stack", "crates/stack/src/y.rs", stack),
         ]);
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn s1_flags_serial_calls_from_the_parallel_cone() {
-        let src = "// lint:parallel-phase
-fn run_slot() { deep(); }
-fn deep() { barrier(); }
-// lint:serial-only
-fn barrier() {}";
-        let diags = run(&[("controller", "crates/controller/src/x.rs", src)]);
-        assert_eq!(ids(&diags), vec![("S1", 3)]);
-        assert!(diags[0].message.contains("barrier"));
-    }
-
-    #[test]
-    fn s1_allow_suppresses_and_serial_outside_cone_is_fine() {
-        let src = "// lint:parallel-phase
-fn run_slot() { barrier(); } // lint:allow(phase-discipline) proven single-shard
-// lint:serial-only
-fn barrier() {}
-fn orchestrator() { barrier(); }";
-        let diags = run(&[("controller", "crates/controller/src/x.rs", src)]);
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn run_rib_slot_is_an_implicit_s1_root() {
-        let src = "fn run_rib_slot() { barrier(); }
-// lint:serial-only
-fn barrier() {}";
-        let diags = run(&[("controller", "crates/controller/src/x.rs", src)]);
-        assert_eq!(ids(&diags), vec![("S1", 1)]);
     }
 }

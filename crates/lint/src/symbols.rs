@@ -15,9 +15,7 @@
 //! * every *panic site* (the P1 pattern set: `unwrap`/`expect`,
 //!   `panic!`-family macros, `expr[..]` indexing) not suppressed by
 //!   `lint:allow(panic | panic-reach)`;
-//! * its interprocedural annotations: `// lint:no-alloc` (A2 root),
-//!   `// lint:serial-only` (S1 forbidden target), and
-//!   `// lint:parallel-phase` (S1 root).
+//! * its interprocedural annotation: `// lint:no-alloc` (A2 root).
 //!
 //! Summaries are cheap to serialize, which is what makes the file-hash
 //! keyed cache ([`crate::cache`]) possible: the interprocedural phase
@@ -42,8 +40,6 @@ pub struct Call {
     /// Call site carries `// lint:alloc-free-callee`: the callee has
     /// been audited not to allocate; A2 neither flags nor traverses it.
     pub assume_alloc_free: bool,
-    /// Call site carries `lint:allow(phase-discipline)`.
-    pub allow_phase: bool,
     /// Call site carries `lint:allow(alloc-reach)`: the callee's cone is
     /// a justified cold branch (rare control messages, crash recovery)
     /// exempt from the no-alloc contract — A2 does not traverse it.
@@ -72,10 +68,6 @@ pub struct FnSym {
     pub is_test: bool,
     /// A2 root: name ends in `_into` or fn carries `// lint:no-alloc`.
     pub no_alloc_root: bool,
-    /// S1 forbidden target: fn carries `// lint:serial-only`.
-    pub serial_only: bool,
-    /// S1 root: fn carries `// lint:parallel-phase`.
-    pub parallel_root: bool,
     pub calls: Vec<Call>,
     pub allocs: Vec<Site>,
     pub panics: Vec<Site>,
@@ -290,11 +282,7 @@ pub fn summarize(krate: &str, file: &str, src: &str) -> FileSummary {
     // *innermost* enclosing body, so closure bodies belong to the
     // enclosing fn while nested fn bodies do not.
     let no_alloc_markers = marker_lines(&out.comments, "lint:no-alloc");
-    let serial_markers = marker_lines(&out.comments, "lint:serial-only");
-    let parallel_markers = marker_lines(&out.comments, "lint:parallel-phase");
     let mut no_alloc_bound = vec![false; no_alloc_markers.len()];
-    let mut serial_bound = vec![false; serial_markers.len()];
-    let mut parallel_bound = vec![false; parallel_markers.len()];
 
     struct RawFn {
         sym: FnSym,
@@ -341,8 +329,6 @@ pub fn summarize(krate: &str, file: &str, src: &str) -> FileSummary {
                 let name = name_tok.text.clone();
                 let no_alloc_root = name.ends_with("_into")
                     || marker_binds(&no_alloc_markers, &mut no_alloc_bound, fn_line);
-                let serial_only = marker_binds(&serial_markers, &mut serial_bound, fn_line);
-                let parallel_root = marker_binds(&parallel_markers, &mut parallel_bound, fn_line);
                 fns.push(RawFn {
                     sym: FnSym {
                         name,
@@ -351,8 +337,6 @@ pub fn summarize(krate: &str, file: &str, src: &str) -> FileSummary {
                         line: fn_line,
                         is_test: in_test(fn_line),
                         no_alloc_root,
-                        serial_only,
-                        parallel_root,
                         calls: Vec::new(),
                         allocs: Vec::new(),
                         panics: Vec::new(),
@@ -519,7 +503,6 @@ pub fn summarize(krate: &str, file: &str, src: &str) -> FileSummary {
                     && (c.line == line
                         || (c.line + 1 == line && !toks.iter().any(|t| t.line == c.line)))
             }),
-            allow_phase: allowed(&["phase-discipline"], line),
             allow_alloc_reach: allowed(&["alloc-reach"], line),
         });
     }
@@ -626,18 +609,11 @@ mod tests {
         let src = "fn fill_into(out: &mut [u8]) {}
                    // lint:no-alloc
                    fn hot() {}
-                   // lint:serial-only
-                   fn barrier() {}
-                   // lint:parallel-phase
-                   fn slot() {}
                    fn plain() {}";
         let s = sym(src);
         assert!(s.fns[0].no_alloc_root, "_into suffix");
         assert!(s.fns[1].no_alloc_root, "marker");
-        assert!(s.fns[2].serial_only);
-        assert!(s.fns[3].parallel_root);
-        let plain = &s.fns[4];
-        assert!(!plain.no_alloc_root && !plain.serial_only && !plain.parallel_root);
+        assert!(!s.fns[2].no_alloc_root);
     }
 
     #[test]

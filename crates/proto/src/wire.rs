@@ -253,13 +253,6 @@ impl WireWriter {
         put_uvarint(&mut self.buf, v);
     }
 
-    /// Like [`WireWriter::uint`] but always emitted (for fields where 0 is
-    /// meaningful and must round-trip inside packed parallel arrays).
-    pub fn uint_always(&mut self, field: u32, v: u64) {
-        self.tag(field, WireType::Varint);
-        put_uvarint(&mut self.buf, v);
-    }
-
     /// `sint64` field, ZigZag encoded (skipped when 0).
     #[inline]
     pub fn sint(&mut self, field: u32, v: i64) {

@@ -87,7 +87,6 @@ struct FaultState {
     rng: StdRng,
     dropped: u64,
     delivered: u64,
-    dropped_by_cat: [u64; 8],
     corrupted_by_cat: [u64; 8],
     duplicated_by_cat: [u64; 8],
     injected: u64,
@@ -129,7 +128,6 @@ impl FaultState {
                 .any(|(from, until)| *from <= now && now < *until)
         {
             self.dropped += 1;
-            self.dropped_by_cat[category.index()] += 1;
             return FaultVerdict::Drop;
         }
         if let Some(burst) = self.config.burst {
@@ -143,13 +141,11 @@ impl FaultState {
             }
             if self.in_burst {
                 self.dropped += 1;
-                self.dropped_by_cat[category.index()] += 1;
                 return FaultVerdict::Drop;
             }
         }
         if self.config.drop_prob > 0.0 && self.rng.random::<f64>() < self.config.drop_prob {
             self.dropped += 1;
-            self.dropped_by_cat[category.index()] += 1;
             return FaultVerdict::Drop;
         }
         let extra_delay_ms = if self.config.jitter_spike_prob > 0.0
@@ -213,7 +209,6 @@ impl FaultHandle {
             rng: StdRng::seed_from_u64(seed ^ 0xFA_17),
             dropped: 0,
             delivered: 0,
-            dropped_by_cat: [0; 8],
             corrupted_by_cat: [0; 8],
             duplicated_by_cat: [0; 8],
             injected: 0,
@@ -254,11 +249,6 @@ impl FaultHandle {
     /// Messages that passed the fault model so far.
     pub fn delivered(&self) -> u64 {
         self.0.lock().delivered
-    }
-
-    /// Messages of `cat` swallowed by drops, bursts or partitions.
-    pub fn dropped_by_category(&self, cat: MessageCategory) -> u64 {
-        self.0.lock().dropped_by_cat[cat.index()]
     }
 
     /// Messages of `cat` delivered corrupted or truncated (the receiver
@@ -570,16 +560,6 @@ impl SimTransport {
     /// Messages of `cat` queued towards this endpoint but not yet due.
     pub fn in_flight_towards_by_category(&self, cat: MessageCategory) -> usize {
         self.inc
-            .lock()
-            .queue
-            .iter()
-            .filter(|m| m.category == cat)
-            .count()
-    }
-
-    /// Messages of `cat` queued away from this endpoint but not yet due.
-    pub fn in_flight_from_by_category(&self, cat: MessageCategory) -> usize {
-        self.out
             .lock()
             .queue
             .iter()

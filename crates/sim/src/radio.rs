@@ -22,7 +22,6 @@ use flexran_phy::mobility::MobilityModel;
 use flexran_stack::enb::PhyView;
 use flexran_types::ids::{CellId, Rnti, UeId};
 use flexran_types::time::Tti;
-use parking_lot::Mutex;
 
 /// How one UE's radio conditions are produced.
 pub enum UeRadio {
@@ -37,18 +36,15 @@ pub enum UeRadio {
 /// The simulation-global radio state.
 ///
 /// Channel queries ([`RadioEnvironment::sinr_db`],
-/// [`RadioEnvironment::rsrp_all_sites`]) take `&self`: each UE's
-/// (stateful) channel sits behind its own mutex, so a parallel harness
-/// can drive many eNodeBs against one shared environment. Every UE is
-/// only ever queried by its serving eNodeB, so the locks are
-/// uncontended and the per-UE query order — hence every RNG draw — is
-/// independent of thread interleaving.
+/// [`RadioEnvironment::rsrp_all_sites`]) take `&mut self`: each UE's
+/// channel is stateful (fading RNG, mobility), and the harness queries
+/// it from one thread, agent by agent.
 pub struct RadioEnvironment {
     env: Option<Environment>,
     /// Slab indexed by `UeId`: the harness hands ids out sequentially,
     /// so the per-measurement lookup is one bounds check. Ids nobody
     /// registered are `None` holes.
-    ues: Vec<Option<Mutex<UeRadio>>>,
+    ues: Vec<Option<UeRadio>>,
     /// Sites transmitting in the current subframe (geometry mode).
     active_sites: Vec<usize>,
     /// SINR for UEs nobody registered (harness bugs surface as terrible
@@ -88,19 +84,17 @@ impl RadioEnvironment {
         if i >= self.ues.len() {
             self.ues.resize_with(i + 1, || None);
         }
-        self.ues[i] = Some(Mutex::new(radio));
+        self.ues[i] = Some(radio);
     }
 
-    fn ue(&self, ue: UeId) -> Option<&Mutex<UeRadio>> {
-        self.ues.get(ue.0 as usize)?.as_ref()
+    fn ue_mut(&mut self, ue: UeId) -> Option<&mut UeRadio> {
+        self.ues.get_mut(ue.0 as usize)?.as_mut()
     }
 
     /// Re-home a geometry-mode UE after handover.
-    pub fn set_serving_site(&self, ue: UeId, site: usize) {
-        if let Some(radio) = self.ue(ue) {
-            if let UeRadio::Geo { serving_site, .. } = &mut *radio.lock() {
-                *serving_site = site;
-            }
+    pub fn set_serving_site(&mut self, ue: UeId, site: usize) {
+        if let Some(UeRadio::Geo { serving_site, .. }) = self.ue_mut(ue) {
+            *serving_site = site;
         }
     }
 
@@ -113,33 +107,28 @@ impl RadioEnvironment {
     }
 
     /// SINR for a UE at `tti`.
-    pub fn sinr_db(&self, ue: UeId, tti: Tti) -> f64 {
-        match self.ue(ue) {
+    pub fn sinr_db(&mut self, ue: UeId, tti: Tti) -> f64 {
+        match self.ues.get_mut(ue.0 as usize).and_then(Option::as_mut) {
             None => self.default_sinr_db,
-            Some(radio) => match &mut *radio.lock() {
-                UeRadio::Process(p) => p.sinr_db(tti),
-                UeRadio::Geo {
-                    mobility,
-                    serving_site,
-                } => {
-                    let pos = mobility.position(tti);
-                    match &self.env {
-                        None => self.default_sinr_db,
-                        Some(env) => env.sinr_db(*serving_site, pos, &self.active_sites),
-                    }
+            Some(UeRadio::Process(p)) => p.sinr_db(tti),
+            Some(UeRadio::Geo {
+                mobility,
+                serving_site,
+            }) => {
+                let pos = mobility.position(tti);
+                match &self.env {
+                    None => self.default_sinr_db,
+                    Some(env) => env.sinr_db(*serving_site, pos, &self.active_sites),
                 }
-            },
+            }
         }
     }
 
     /// RSRP of every site at the UE's current position (geometry mode;
     /// feeds measurement reports for the mobility manager). Empty in
     /// process mode.
-    pub fn rsrp_all_sites(&self, ue: UeId, tti: Tti) -> Vec<(usize, f64)> {
-        let Some(radio) = self.ue(ue) else {
-            return Vec::new();
-        };
-        let UeRadio::Geo { mobility, .. } = &mut *radio.lock() else {
+    pub fn rsrp_all_sites(&mut self, ue: UeId, tti: Tti) -> Vec<(usize, f64)> {
+        let Some(UeRadio::Geo { mobility, .. }) = self.ue_mut(ue) else {
             return Vec::new();
         };
         let pos = mobility.position(tti);
@@ -158,11 +147,8 @@ impl RadioEnvironment {
 }
 
 /// [`PhyView`] for one eNodeB, backed by the global radio environment.
-///
-/// Holds the environment by shared reference so one environment can
-/// serve many eNodeBs concurrently (see [`RadioEnvironment`]).
 pub struct PhyAdapter<'a> {
-    pub radio: &'a RadioEnvironment,
+    pub radio: &'a mut RadioEnvironment,
     /// `(cell, rnti)` → simulation-global UE for this eNodeB.
     pub rnti_map: &'a BTreeMap<(CellId, Rnti), UeId>,
 }
@@ -259,7 +245,7 @@ mod tests {
         let mut map = BTreeMap::new();
         map.insert((CellId(0), Rnti(0x100)), UeId(1));
         let mut phy = PhyAdapter {
-            radio: &radio,
+            radio: &mut radio,
             rnti_map: &map,
         };
         let good = phy.sinr_db(CellId(0), Rnti(0x100), Tti(0));

@@ -14,6 +14,9 @@ for manifest in crates/*/Cargo.toml; do
     OWN_PKGS+=(-p "$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n1)")
 done
 
+echo "==> benchmark lockfile (fails fast if a manifest edit would rewrite benchmark/Cargo.lock)"
+cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
+
 echo "==> cargo fmt --check"
 cargo fmt "${OWN_PKGS[@]}" -- --check
 
@@ -49,7 +52,7 @@ cargo run --quiet --release -p flexran-bench --bin experiments -- \
 
 echo "==> chaos campaign gate (8 seeds x 2000 TTIs, unsharded + 4-shard, rollouts under fire, parallel)"
 # Every seed under both the single-shard and the 4-shard master, fanned
-# over the worker pool, failing on any violation (exit 1 pins each one).
+# over the campaign's run pool, failing on any violation (exit 1 pins each one).
 cargo run --quiet --release -p flexran-campaign -- \
     chaos --seeds 8 --ttis 2000 --configs 1,4 --out target/check-chaos
 

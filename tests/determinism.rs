@@ -1,9 +1,8 @@
-//! Determinism contract of the parallel TTI engine and the sharded
-//! control plane (DESIGN.md §"Simulation engine", §"Sharded control
-//! plane"): running the same scenario serially (`workers: None`, one
-//! shard) and fanned out over any worker pool × shard-spec combination
-//! must produce bit-identical observables — the per-TTI event stream,
-//! the end-state UE statistics, and the master's (merged) RIB — over a
+//! Determinism contract of the TTI engine and the sharded control plane
+//! (DESIGN.md §"Simulation engine", §"Sharded control plane"): the
+//! scenario's observables — the per-TTI event stream, the end-state UE
+//! statistics, and the master's (merged) RIB — are pinned for one
+//! shard, and every shard spec must reproduce them bit for bit, over a
 //! long run that exercises mobility handovers crossing shard
 //! boundaries and control-link fault injection.
 
@@ -31,7 +30,7 @@ const UES_PER_ENB: usize = 6;
 /// master's mobility manager), stationary fading UEs with mixed
 /// traffic, and one eNodeB behind a lossy, partition-scripted control
 /// link (liveness failover + recovery).
-fn build(workers: Option<usize>, shards: ShardSpec) -> (SimHarness, Vec<UeId>) {
+fn build(shards: ShardSpec) -> (SimHarness, Vec<UeId>) {
     let mut env = Environment::new(10_000_000);
     let sites: Vec<usize> = (0..N_ENBS)
         .map(|i| {
@@ -45,7 +44,6 @@ fn build(workers: Option<usize>, shards: ShardSpec) -> (SimHarness, Vec<UeId>) {
     let mut sim = SimHarness::with_radio(
         SimConfig {
             seed: 11,
-            workers,
             master: TaskManagerConfig {
                 shards,
                 ..TaskManagerConfig::default()
@@ -142,8 +140,8 @@ fn build(workers: Option<usize>, shards: ShardSpec) -> (SimHarness, Vec<UeId>) {
 }
 
 /// Run the scenario and digest every observable along the way.
-fn run(workers: Option<usize>, shards: ShardSpec) -> (u64, u64, u64) {
-    let (mut sim, ues) = build(workers, shards);
+fn run(shards: ShardSpec) -> (u64, u64, u64) {
+    let (mut sim, ues) = build(shards);
     let mut events_digest = Fnv1a::new();
     let mut scratch = String::new();
     for _ in 0..TTIS {
@@ -176,8 +174,8 @@ fn run(workers: Option<usize>, shards: ShardSpec) -> (u64, u64, u64) {
     )
 }
 
-/// `(events, stats, RIB)` digests of `run(None, ShardSpec::Auto)`: the
-/// serial one-shard run every other configuration must reproduce.
+/// `(events, stats, RIB)` digests of `run(ShardSpec::Auto)`: the
+/// one-shard run every shard spec must reproduce.
 const PINNED: (u64, u64, u64) = (
     0xeb79_4a5b_9277_eb87,
     0xf2f7_81d6_3e24_bbab,
@@ -186,58 +184,33 @@ const PINNED: (u64, u64, u64) = (
 
 #[test]
 fn serial_run_matches_pinned_digests() {
-    let serial = run(None, ShardSpec::Auto);
+    let serial = run(ShardSpec::Auto);
     assert_eq!(serial.0, PINNED.0, "event stream diverged from the pin");
     assert_eq!(serial.1, PINNED.1, "UE stats diverged from the pin");
     assert_eq!(serial.2, PINNED.2, "RIB diverged from the pin");
 }
 
 #[test]
-fn parallel_engine_is_bit_identical_to_serial() {
-    let serial = run(None, ShardSpec::Auto);
-    for workers in [2, 4] {
-        let parallel = run(Some(workers), ShardSpec::Auto);
-        assert_eq!(
-            serial.0, parallel.0,
-            "event stream diverged at workers={workers}"
-        );
-        assert_eq!(
-            serial.1, parallel.1,
-            "UE stats diverged at workers={workers}"
-        );
-        assert_eq!(serial.2, parallel.2, "RIB diverged at workers={workers}");
-    }
-}
-
-#[test]
 fn sharded_control_plane_is_bit_identical_to_one_shard() {
-    // The shard matrix vs. the 1-shard serial baseline: every worker
-    // count × shard spec must reproduce the exact same observables,
-    // including runs where the travellers' handovers cross a shard
-    // boundary (Fixed(2) puts EnbId 1 and 3 on shard 1 and EnbId 2 on
-    // shard 0, so every inter-site handover is cross-shard).
-    let baseline = run(None, ShardSpec::Auto);
-    let matrix = [
-        (None, ShardSpec::Fixed(2)),
-        (Some(2), ShardSpec::Fixed(2)),
-        (Some(4), ShardSpec::Fixed(4)),
-        (Some(2), ShardSpec::PerAgent),
-        (Some(4), ShardSpec::PerAgent),
-    ];
-    for (workers, shards) in matrix {
-        let sharded = run(workers, shards);
+    // The shard matrix vs. the pinned one-shard digests, including runs
+    // where the travellers' handovers cross a shard boundary (Fixed(2)
+    // puts EnbId 1 and 3 on shard 1 and EnbId 2 on shard 0, so every
+    // inter-site handover is cross-shard).
+    for shards in [
+        ShardSpec::Fixed(2),
+        ShardSpec::Fixed(4),
+        ShardSpec::PerAgent,
+    ] {
+        let sharded = run(shards);
         assert_eq!(
-            baseline.0, sharded.0,
-            "event stream diverged at workers={workers:?} shards={shards:?}"
+            PINNED.0, sharded.0,
+            "event stream diverged at shards={shards:?}"
         );
         assert_eq!(
-            baseline.1, sharded.1,
-            "UE stats diverged at workers={workers:?} shards={shards:?}"
+            PINNED.1, sharded.1,
+            "UE stats diverged at shards={shards:?}"
         );
-        assert_eq!(
-            baseline.2, sharded.2,
-            "RIB diverged at workers={workers:?} shards={shards:?}"
-        );
+        assert_eq!(PINNED.2, sharded.2, "RIB diverged at shards={shards:?}");
     }
 }
 
@@ -247,7 +220,7 @@ fn sharded_control_plane_is_bit_identical_to_one_shard() {
 /// RIB was flattened from B-tree nodes onto index-addressed slabs. This
 /// pins the slab layout to the historical observable stream: any layout
 /// change that reorders iteration or perturbs state is caught here, for
-/// every worker count × shard spec.
+/// every shard spec.
 #[test]
 fn slab_rib_digests_match_pre_flattening_goldens() {
     // Golden recorded pre-flattening (BENCH_scale.json, enbs=1,
@@ -257,10 +230,9 @@ fn slab_rib_digests_match_pre_flattening_goldens() {
     const SCALE_TTIS: u64 = 2_100;
     const N_UES: u32 = 16;
 
-    let run_scale_point = |workers: Option<usize>, shards: ShardSpec| -> String {
+    let run_scale_point = |shards: ShardSpec| -> String {
         let mut sim = SimHarness::new(SimConfig {
             seed: SCALE_SEED,
-            workers,
             master: TaskManagerConfig {
                 shards,
                 ..TaskManagerConfig::default()
@@ -284,20 +256,17 @@ fn slab_rib_digests_match_pre_flattening_goldens() {
         format!("{:016x}", h.finish())
     };
 
-    for workers in [None, Some(2), Some(4)] {
-        for shards in [
-            ShardSpec::Fixed(1),
-            ShardSpec::Fixed(2),
-            ShardSpec::Fixed(4),
-            ShardSpec::PerAgent,
-        ] {
-            assert_eq!(
-                run_scale_point(workers, shards),
-                GOLDEN_1X16,
-                "slab-RIB digest diverged from the pre-flattening golden at \
-                 workers={workers:?} shards={shards:?}"
-            );
-        }
+    for shards in [
+        ShardSpec::Fixed(1),
+        ShardSpec::Fixed(2),
+        ShardSpec::Fixed(4),
+        ShardSpec::PerAgent,
+    ] {
+        assert_eq!(
+            run_scale_point(shards),
+            GOLDEN_1X16,
+            "slab-RIB digest diverged from the pre-flattening golden at shards={shards:?}"
+        );
     }
 }
 
@@ -306,7 +275,7 @@ fn sharded_scenario_exercises_cross_shard_handovers() {
     // The matrix above is only meaningful if handovers actually cross
     // shard boundaries: under Fixed(2) the mobility manager's commands
     // route between the two shards through the cross-shard mailbox.
-    let (mut sim, _ues) = build(Some(2), ShardSpec::Fixed(2));
+    let (mut sim, _ues) = build(ShardSpec::Fixed(2));
     for _ in 0..TTIS {
         sim.step();
     }
@@ -321,7 +290,7 @@ fn sharded_scenario_exercises_cross_shard_handovers() {
 fn scenario_actually_exercises_handovers_and_faults() {
     // The determinism assertion above is only meaningful if the scenario
     // produces the hard cases: cross-agent handovers and failover events.
-    let (mut sim, ues) = build(Some(2), ShardSpec::Auto);
+    let (mut sim, ues) = build(ShardSpec::Auto);
     let mut saw_handover = false;
     let start_serving: Vec<_> = ues.iter().map(|u| sim.serving_enb(*u)).collect();
     for _ in 0..TTIS {
