@@ -127,8 +127,6 @@ pub struct CentralizedScheduler {
     pub max_catchup: u64,
     /// Commands issued (observability / Fig. 7b accounting cross-check).
     pub commands_sent: u64,
-    /// Cells this app manages; empty = every cell it sees.
-    pub scope: Vec<(EnbId, u16)>,
 }
 
 impl CentralizedScheduler {
@@ -140,24 +138,13 @@ impl CentralizedScheduler {
             last_target: BTreeMap::new(),
             max_catchup: 4,
             commands_sent: 0,
-            scope: Vec::new(),
         }
-    }
-
-    /// Restrict the app to specific cells.
-    pub fn with_scope(mut self, scope: Vec<(EnbId, u16)>) -> Self {
-        self.scope = scope;
-        self
     }
 
     /// Also centralize uplink scheduling with the given policy.
     pub fn with_uplink(mut self, ul: Box<dyn UlScheduler>) -> Self {
         self.ul_policy = Some(ul);
         self
-    }
-
-    fn in_scope(&self, enb: EnbId, cell: u16) -> bool {
-        self.scope.is_empty() || self.scope.contains(&(enb, cell))
     }
 }
 
@@ -183,9 +170,6 @@ impl App for CentralizedScheduler {
             let agent = rib.agent(enb).expect("listed agent");
             let cells: Vec<u16> = agent.cells().iter().map(|c| c.cell_id.0).collect();
             for cell_id in cells {
-                if !self.in_scope(enb, cell_id) {
-                    continue;
-                }
                 let horizon = sync.0 + self.schedule_ahead;
                 let start = self
                     .last_target

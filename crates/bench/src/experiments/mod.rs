@@ -1,6 +1,7 @@
 //! The experiment registry: every table and figure of the paper, by id.
 
 pub mod ablations;
+pub mod allocgate;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
@@ -10,7 +11,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod outage;
 pub mod rollout;
-pub mod scale;
 pub mod sec54;
 pub mod table2;
 
@@ -43,7 +43,6 @@ pub const ALL: &[&str] = &[
     "ablation-bler-target",
     "outage",
     "rollout",
-    "scale",
     "allocgate",
 ];
 
@@ -67,8 +66,7 @@ pub fn run(id: &str, ctx: &ExpContext) -> Vec<ExpResult> {
         "ablation-bler-target" => vec![ablations::ablation_bler_target(ctx)],
         "outage" => vec![outage::outage(ctx)],
         "rollout" => vec![rollout::rollout(ctx)],
-        "scale" => vec![scale::scale(ctx)],
-        "allocgate" => vec![scale::allocgate(ctx)],
+        "allocgate" => vec![allocgate::allocgate(ctx)],
         other => panic!("unknown experiment id '{other}' (available: {ALL:?})"),
     }
 }

@@ -20,8 +20,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Every binary and test in this crate counts its heap traffic, so
-/// `experiments scale` and `allocgate` can report allocations per TTI and
-/// assert the zero-steady-state-allocation contract.
+/// `allocgate` can count allocations per TTI and assert the
+/// zero-steady-state-allocation contract.
 #[global_allocator]
 static GLOBAL: flexran_campaign::alloc_probe::CountingAllocator =
     flexran_campaign::alloc_probe::CountingAllocator;
@@ -172,10 +172,6 @@ pub fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Format a float with sensible precision for tables.
 pub fn f2(v: f64) -> String {
     format!("{v:.2}")
-}
-
-pub fn f1(v: f64) -> String {
-    format!("{v:.1}")
 }
 
 #[cfg(test)]

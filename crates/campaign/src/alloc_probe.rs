@@ -11,8 +11,7 @@
 //! allocs/TTI KPI. Thread attribution matters there: runs execute
 //! concurrently, so the process-wide count would blame one run for its
 //! neighbours' heap traffic. [`measure`] is the process-wide reading the
-//! allocation gates use, which also counts the parallel TTI engine's
-//! worker threads.
+//! allocation gate (`experiments allocgate`) uses.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

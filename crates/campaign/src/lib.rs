@@ -22,8 +22,8 @@
 //!   fault orchestrator (`flexran-chaos`) — the campaign behind
 //!   `flexran-campaign chaos`, the only way to run chaos, and the
 //!   `scripts/check.sh` chaos gate.
-//! * [`sweep`] runs the scale grid across seeds so `BENCH_scale.json`
-//!   gains confidence intervals instead of single-run points.
+//! * [`sweep`] runs the scale grid across seeds: the one producer of
+//!   `BENCH_scale.json`, every point a mean with a confidence interval.
 //! * [`alloc_probe`] is the workspace's one counting allocator: binaries
 //!   install it with `#[global_allocator]`, and runs read it for the
 //!   allocs/TTI KPI (`None` where no binary installed it).

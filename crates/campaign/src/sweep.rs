@@ -1,14 +1,19 @@
-//! `campaign sweep`: the scale grid across seeds.
+//! `campaign sweep`: the scale grid across seeds — the one producer of
+//! `BENCH_scale.json`.
 //!
-//! `experiments scale` measures each grid point once, with one seed —
-//! a single-run point estimate. The sweep runs every grid point under
-//! `seeds` independent seeds on the campaign pool and aggregates each
-//! KPI into a [`Distribution`](crate::stats::Distribution), so the
-//! emitted `BENCH_scale.json` carries confidence intervals and exact
-//! percentiles instead of single-run points. Throughput and the
-//! end-state digest are deterministic per `(point, seed)`; TTIs/s and
-//! TTI-latency KPIs are wall-clock measurements whose spread is
-//! precisely what the distribution quantifies.
+//! The sweep runs every eNB×UE grid point under `seeds` independent
+//! seeds on the campaign pool and aggregates each KPI into a
+//! [`Distribution`](crate::stats::Distribution), so every point carries
+//! a mean with a 95% CI and exact percentiles. Per run it records
+//! TTIs/s, the TTI-latency percentiles of the deadline monitor, the
+//! per-TTI wall-clock split of `SimHarness::step` (serial front,
+//! phase A, coupling, phase B, merge), allocs/TTI and
+//! `max_cells_at_budget`: how many single-cell eNBs fit in the 1 ms TTI
+//! budget if per-cell cost scales like the point's p99. Throughput and
+//! the end-state digest are deterministic per `(point, seed)`; the
+//! wall-clock KPIs vary run to run, and that spread is what the
+//! distribution quantifies — so run the sweep with one worker when the
+//! numbers are to be committed.
 
 use crate::alloc_probe;
 use crate::pool::{run_pool, CancelToken, Progress};
@@ -27,7 +32,8 @@ pub struct SweepRun {
     pub seed: u64,
 }
 
-/// The sweep spec. The default grid matches `experiments scale`.
+/// The sweep spec. The default grid is the scale grid that
+/// `BENCH_scale.json` records and `allocgate` gates.
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
     pub grid: Vec<(usize, usize)>,
@@ -88,30 +94,51 @@ impl SweepSpec {
     }
 }
 
+/// The `e`-th single-cell eNodeB with `ues_per_enb` fading, full-buffer
+/// UEs (per-UE fading seeds derived from `seed`).
+pub fn add_enb_with_ues(
+    sim: &mut SimHarness,
+    e: usize,
+    ues_per_enb: usize,
+    seed: u64,
+    agent: AgentConfig,
+) -> EnbId {
+    let enb = EnbId(e as u32 + 1);
+    sim.add_enb(EnbConfig::single_cell(enb), agent);
+    for u in 0..ues_per_enb {
+        let ue_seed = seed ^ ((e as u64) << 32) ^ u as u64;
+        let ue = sim.add_ue(
+            enb,
+            CellId(0),
+            SliceId::MNO,
+            0,
+            UeRadioSpec::Fading(15.0, 4.0, 0.95, ue_seed),
+        );
+        sim.set_dl_traffic(ue, Box::new(FullBufferSource::default()));
+    }
+    enb
+}
+
+/// One grid point's simulation: `enbs` locally scheduled eNodeBs of
+/// `ues_per_enb` UEs each, one RIB shard.
+pub fn grid_sim(enbs: usize, ues_per_enb: usize, seed: u64) -> SimHarness {
+    let mut sim = SimHarness::new(SimConfig {
+        seed,
+        ..SimConfig::default()
+    });
+    for e in 0..enbs {
+        add_enb_with_ues(&mut sim, e, ues_per_enb, seed, AgentConfig::default());
+    }
+    sim
+}
+
 /// Execute one sweep run (the campaign pool is the parallelism) and
 /// record its KPIs and end-state digest.
 pub fn run_one(run: &SweepRun, spec: &SweepSpec) -> RunRecord {
-    let mut sim = SimHarness::new(SimConfig {
-        seed: run.seed,
-        ..SimConfig::default()
-    });
-    for e in 0..run.enbs {
-        let enb = EnbId(e as u32 + 1);
-        sim.add_enb(EnbConfig::single_cell(enb), AgentConfig::default());
-        for u in 0..run.ues_per_enb {
-            let ue_seed = run.seed ^ ((e as u64) << 32) ^ u as u64;
-            let ue = sim.add_ue(
-                enb,
-                CellId(0),
-                SliceId::MNO,
-                0,
-                UeRadioSpec::Fading(15.0, 4.0, 0.95, ue_seed),
-            );
-            sim.set_dl_traffic(ue, Box::new(FullBufferSource::default()));
-        }
-    }
+    let mut sim = grid_sim(run.enbs, run.ues_per_enb, run.seed);
     sim.run(spec.warmup);
     sim.reset_budget();
+    let phases_start = sim.phase_timings();
     let allocs_before = alloc_probe::thread_allocations();
     // TTIs/s is the KPI under measurement; the simulation itself runs
     // on virtual time.
@@ -121,9 +148,9 @@ pub fn run_one(run: &SweepRun, spec: &SweepSpec) -> RunRecord {
     let wall = t0.elapsed();
     let allocs_after = alloc_probe::thread_allocations();
     let budget = sim.budget_stats();
+    let phases_end = sim.phase_timings();
 
-    // Deterministic end-state digest + cumulative throughput, the same
-    // observables `experiments scale` digests.
+    // Deterministic end-state digest + cumulative throughput.
     let ues = || (1..=(run.enbs * run.ues_per_enb) as u32).map(UeId);
     let mut digest = Fnv1a::new();
     sim.fold_end_state(ues(), &mut digest);
@@ -133,6 +160,8 @@ pub fn run_one(run: &SweepRun, spec: &SweepSpec) -> RunRecord {
         .sum();
 
     let total_ttis = (spec.warmup + spec.ttis).max(1);
+    let measured = spec.ttis.max(1) as f64;
+    let per_tti_us = |end: u64, start: u64| (end - start) as f64 / 1e3 / measured;
     let mut kpis: Vec<(&'static str, f64)> = vec![
         (
             "ttis_per_sec",
@@ -144,11 +173,35 @@ pub fn run_one(run: &SweepRun, spec: &SweepSpec) -> RunRecord {
         ),
         ("tti_p50_us", budget.p50_ns as f64 / 1e3),
         ("tti_p99_us", budget.p99_ns as f64 / 1e3),
+        (
+            "serial_front_us",
+            per_tti_us(phases_end.serial_front_ns, phases_start.serial_front_ns),
+        ),
+        (
+            "phase_a_us",
+            per_tti_us(phases_end.phase_a_ns, phases_start.phase_a_ns),
+        ),
+        (
+            "coupling_us",
+            per_tti_us(phases_end.coupling_ns, phases_start.coupling_ns),
+        ),
+        (
+            "phase_b_us",
+            per_tti_us(phases_end.phase_b_ns, phases_start.phase_b_ns),
+        ),
+        (
+            "merge_us",
+            per_tti_us(phases_end.merge_ns, phases_start.merge_ns),
+        ),
+        (
+            "max_cells_at_budget",
+            (run.enbs as u64 * budget.budget_ns / budget.p99_ns.max(1)) as f64,
+        ),
     ];
     if let (Some(before), Some(after)) = (allocs_before, allocs_after) {
         kpis.push((
             "allocs_per_tti",
-            after.saturating_sub(before) as f64 / spec.ttis.max(1) as f64,
+            after.saturating_sub(before) as f64 / measured,
         ));
     }
     RunRecord {
@@ -231,9 +284,8 @@ pub fn sweep_json(report: &CampaignReport, spec: &SweepSpec) -> serde_json::Valu
         "cancelled": report.cancelled,
         "wall_ms": report.wall_ms,
         "series": serde_json::Value::Array(series),
-        "note": "distribution-grade scale points: every KPI is aggregated over \
-                 independent seeds with exact nearest-rank percentiles and a 95% CI \
-                 on the mean; single-run points (mode: single) cannot express run-to-run \
-                 variance",
+        "note": "every KPI is aggregated over independent seeds with exact nearest-rank \
+                 percentiles and a 95% CI on the mean; the *_us phase split is wall-clock \
+                 per measured TTI, max_cells_at_budget = enbs * budget / p99",
     })
 }

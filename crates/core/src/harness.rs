@@ -83,7 +83,7 @@ impl Default for SimConfig {
 }
 
 /// Cumulative wall-clock spent in each part of [`SimHarness::step`],
-/// for the perf-trajectory experiments (`experiments scale`).
+/// for the scale sweep's per-phase split (`flexran-campaign sweep`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
     /// Number of `step` calls accumulated.

@@ -29,9 +29,9 @@
 //!   `// lint:alloc-free-callee`. Growth idioms (`push`, `insert`,
 //!   `extend_from_slice`) are deliberately allowlisted: amortized
 //!   pooled growth is this codebase's pattern, and the zero-alloc
-//!   steady state is enforced at runtime by `experiments allocgate` —
-//!   the lint hunts constructors, clones and formatters, the
-//!   allocations pools can't amortize away.
+//!   steady state is enforced at runtime by `experiments allocgate` at
+//!   every scale-grid point — the lint hunts constructors, clones and
+//!   formatters, the allocations pools can't amortize away.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;

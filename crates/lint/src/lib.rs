@@ -13,8 +13,6 @@
 //! builds a conservative workspace call graph over it, and [`reach`]
 //! walks the graph to enforce the transitive lints (A2 no-alloc
 //! reachability, P2 panic reachability).
-//! Per-file results are memoized in a content-hash keyed cache
-//! ([`cache`]) so warm runs skip re-lexing the workspace.
 //!
 //! Run it with `cargo run -p flexran-lint` from the workspace root (the
 //! `scripts/check.sh` gate does), or use [`run_workspace`] from tests.
@@ -22,7 +20,6 @@
 //! ([`baseline`]); anything new fails the run.
 
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod lexer;
 pub mod lints;
@@ -33,7 +30,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use baseline::{Baseline, Gated};
-use cache::{Cache, Entry};
 use callgraph::CallGraph;
 use lints::Diagnostic;
 
@@ -42,8 +38,6 @@ use lints::Diagnostic;
 pub struct Options {
     /// Ignore the baseline (report every violation as new).
     pub no_baseline: bool,
-    /// Ignore the per-file result cache (re-lex everything).
-    pub no_cache: bool,
 }
 
 /// Outcome of a workspace run.
@@ -53,8 +47,6 @@ pub struct Report {
     pub gated: Gated,
     /// Files scanned.
     pub files: usize,
-    /// Files served from the content-hash cache.
-    pub cache_hits: usize,
     /// The baseline that was applied (empty when missing/ignored).
     pub baseline: Baseline,
 }
@@ -71,7 +63,7 @@ pub const BASELINE_FILE: &str = "lint-baseline.toml";
 /// Scan every crate under `<root>/crates/*/src` and gate the findings
 /// against `<root>/lint-baseline.toml` (unless disabled).
 pub fn run_workspace(root: &Path, opts: &Options) -> Result<Report, String> {
-    let scan = scan_workspace(root, opts.no_cache)?;
+    let scan = scan_workspace(root)?;
     let baseline = if opts.no_baseline {
         Baseline::default()
     } else {
@@ -80,7 +72,6 @@ pub fn run_workspace(root: &Path, opts: &Options) -> Result<Report, String> {
     Ok(Report {
         gated: baseline.gate(&scan.diags),
         files: scan.files,
-        cache_hits: scan.cache_hits,
         baseline,
     })
 }
@@ -91,13 +82,12 @@ pub struct Scan {
     /// Per-file and interprocedural diagnostics, sorted.
     pub diags: Vec<Diagnostic>,
     pub files: usize,
-    pub cache_hits: usize,
 }
 
-/// Scan the workspace: per-file lints (cache-accelerated) followed by
-/// the interprocedural reachability lints over the assembled call
-/// graph. This is the raw input for `--update-baseline`.
-pub fn scan_workspace(root: &Path, no_cache: bool) -> Result<Scan, String> {
+/// Scan the workspace: per-file lints followed by the interprocedural
+/// reachability lints over the assembled call graph. This is the raw
+/// input for `--update-baseline`.
+pub fn scan_workspace(root: &Path) -> Result<Scan, String> {
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)
         .map_err(|e| format!("read {}: {e}", crates_dir.display()))?
@@ -106,15 +96,9 @@ pub fn scan_workspace(root: &Path, no_cache: bool) -> Result<Scan, String> {
         .collect();
     crate_dirs.sort();
 
-    let mut store = if no_cache {
-        Cache::default()
-    } else {
-        Cache::load(root)
-    };
     let mut diags = Vec::new();
     let mut summaries = Vec::new();
     let mut files = 0usize;
-    let mut cache_hits = 0usize;
     for crate_dir in crate_dirs {
         let krate = crate_dir
             .file_name()
@@ -136,52 +120,20 @@ pub fn scan_workspace(root: &Path, no_cache: bool) -> Result<Scan, String> {
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let hash = cache::content_hash(&krate, &text);
-            if let Some(entry) = store.get(&rel, hash) {
-                diags.extend(entry.diags.iter().cloned());
-                summaries.push(entry.summary.clone());
-                cache_hits += 1;
-            } else {
-                let file_diags = lints::analyze_source(&krate, &rel, &text);
-                let summary = symbols::summarize(&krate, &rel, &text);
-                store.put(
-                    &rel,
-                    Entry {
-                        hash,
-                        diags: file_diags.clone(),
-                        summary: summary.clone(),
-                    },
-                );
-                diags.extend(file_diags);
-                summaries.push(summary);
-            }
+            diags.extend(lints::analyze_source(&krate, &rel, &text));
+            summaries.push(symbols::summarize(&krate, &rel, &text));
             files += 1;
         }
     }
 
-    // Interprocedural phase: always recomputed — it is a whole-workspace
-    // fixpoint over the (possibly cached) per-file summaries.
+    // Interprocedural phase: a whole-workspace fixpoint over the per-file
+    // summaries.
     let graph = CallGraph::build(&summaries, callgraph::crate_deps(root));
     diags.extend(reach::analyze(&graph));
     drop(graph);
 
-    if !no_cache {
-        store.store(root);
-    }
     diags.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
-    Ok(Scan {
-        diags,
-        files,
-        cache_hits,
-    })
-}
-
-/// Scan the workspace and return `(diagnostics, files_scanned)` without
-/// baseline gating or caching — kept for callers that want the raw
-/// diagnostic stream.
-pub fn collect_diagnostics(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
-    let scan = scan_workspace(root, true)?;
-    Ok((scan.diags, scan.files))
+    Ok(Scan { diags, files })
 }
 
 /// Load the baseline file; a missing file is an empty baseline.

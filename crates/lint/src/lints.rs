@@ -23,10 +23,10 @@
 //! * **A1 `hot-alloc`** — no allocating calls inside `*_into` function
 //!   bodies, or inside any function annotated `// lint:no-alloc` on the
 //!   lines directly above its `fn` (the zero-alloc hot-path contract
-//!   measured by `experiments scale` and gated by `experiments
-//!   allocgate`). The annotation is how per-TTI paths whose names don't
-//!   end in `_into` — shard RIB-slot bodies, the finish-cycle merge,
-//!   interference coupling — opt into coverage.
+//!   gated at runtime by `experiments allocgate`). The annotation is
+//!   how per-TTI paths whose names don't end in `_into` — shard
+//!   RIB-slot bodies, the finish-cycle merge, interference coupling —
+//!   opt into coverage.
 //! * **U1 `unsafe`** — every `unsafe` token needs a `// SAFETY:` comment
 //!   within the three preceding lines.
 //!

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! flexran-lint [--root DIR] [--json] [--sarif PATH] [--no-baseline]
-//!              [--no-cache] [--update-baseline]
+//!              [--update-baseline]
 //! ```
 //!
 //! Exit codes: 0 clean (possibly with baselined violations), 1 new
@@ -13,14 +13,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use flexran_lint::baseline::Baseline;
-use flexran_lint::{collect_diagnostics, run_workspace, to_json, to_sarif, Options, BASELINE_FILE};
+use flexran_lint::{run_workspace, scan_workspace, to_json, to_sarif, Options, BASELINE_FILE};
 
 struct Args {
     root: PathBuf,
     json: bool,
     sarif: Option<PathBuf>,
     no_baseline: bool,
-    no_cache: bool,
     update_baseline: bool,
 }
 
@@ -30,7 +29,6 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         sarif: None,
         no_baseline: false,
-        no_cache: false,
         update_baseline: false,
     };
     let mut it = std::env::args().skip(1);
@@ -44,11 +42,10 @@ fn parse_args() -> Result<Args, String> {
                 args.sarif = Some(PathBuf::from(it.next().ok_or("--sarif needs a path")?));
             }
             "--no-baseline" => args.no_baseline = true,
-            "--no-cache" => args.no_cache = true,
             "--update-baseline" => args.update_baseline = true,
             "--help" | "-h" => {
                 return Err("usage: flexran-lint [--root DIR] [--json] [--sarif PATH] \
-                            [--no-baseline] [--no-cache] [--update-baseline]"
+                            [--no-baseline] [--update-baseline]"
                     .into())
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -82,13 +79,12 @@ fn main() -> ExitCode {
     };
 
     if args.update_baseline {
-        // The baseline must be reproducible on any host: bypass the
-        // cache and refreeze from a cold scan. Paths are already
+        // The baseline must be reproducible on any host: paths are
         // workspace-relative with forward slashes, and serialization is
         // BTreeMap-ordered, so the output is byte-deterministic.
-        return match collect_diagnostics(&args.root) {
-            Ok((diags, files)) => {
-                let baseline = Baseline::from_diagnostics(&diags);
+        return match scan_workspace(&args.root) {
+            Ok(scan) => {
+                let baseline = Baseline::from_diagnostics(&scan.diags);
                 let path = args.root.join(BASELINE_FILE);
                 if let Err(e) = std::fs::write(&path, baseline.serialize()) {
                     eprintln!("write {}: {e}", path.display());
@@ -96,8 +92,8 @@ fn main() -> ExitCode {
                 }
                 println!(
                     "flexran-lint: froze {} violation(s) across {} file(s) into {}",
-                    diags.len(),
-                    files,
+                    scan.diags.len(),
+                    scan.files,
                     path.display()
                 );
                 ExitCode::SUCCESS
@@ -111,7 +107,6 @@ fn main() -> ExitCode {
 
     let opts = Options {
         no_baseline: args.no_baseline,
-        no_cache: args.no_cache,
     };
     let report = match run_workspace(&args.root, &opts) {
         Ok(r) => r,
@@ -141,10 +136,8 @@ fn main() -> ExitCode {
             );
         }
         println!(
-            "flexran-lint: {} file(s) ({} cached), {} new violation(s), {} baselined, \
-             {} stale entr(ies)",
+            "flexran-lint: {} file(s), {} new violation(s), {} baselined, {} stale entr(ies)",
             report.files,
-            report.cache_hits,
             report.gated.new.len(),
             report.gated.baselined.len(),
             report.gated.stale.len()

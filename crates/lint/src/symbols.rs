@@ -17,9 +17,8 @@
 //!   `lint:allow(panic | panic-reach)`;
 //! * its interprocedural annotation: `// lint:no-alloc` (A2 root).
 //!
-//! Summaries are cheap to serialize, which is what makes the file-hash
-//! keyed cache ([`crate::cache`]) possible: the interprocedural phase
-//! only ever consumes summaries, never source text.
+//! The interprocedural phase only ever consumes summaries, never source
+//! text.
 
 use crate::lexer::{lex, Comment, Tok, TokKind};
 use crate::lints::{

@@ -1,5 +1,5 @@
-//! End-to-end workspace scans against synthetic mini-workspaces: the
-//! cache-hit path, baseline determinism, and — most importantly — proof
+//! End-to-end workspace scans against synthetic mini-workspaces:
+//! baseline determinism and — most importantly — proof
 //! that the A2 reachability engine is *live*: toggling the annotations
 //! that define roots and cut edges flips the verdict.
 
@@ -10,7 +10,7 @@ use flexran_lint::baseline::Baseline;
 use flexran_lint::scan_workspace;
 
 /// A throwaway workspace under the system temp dir. Unique per test so
-/// parallel tests never share a cache file.
+/// parallel tests never share files.
 struct MiniWorkspace {
     root: PathBuf,
 }
@@ -50,7 +50,7 @@ impl Drop for MiniWorkspace {
 
 /// Lint ids of every diagnostic a scan produces, with lines.
 fn lint_ids(ws: &MiniWorkspace) -> Vec<(String, u32)> {
-    scan_workspace(ws.root(), true)
+    scan_workspace(ws.root())
         .expect("scan")
         .diags
         .into_iter()
@@ -120,46 +120,6 @@ fn a2_allow_deletion_makes_the_lint_fire() {
 }
 
 #[test]
-fn warm_scan_serves_every_file_from_the_cache() {
-    let ws = MiniWorkspace::new("cache");
-    ws.write(
-        "proto",
-        "a.rs",
-        "pub fn ok(x: u32) -> u32 {\n    x + 1\n}\n",
-    );
-    ws.write(
-        "proto",
-        "b.rs",
-        "pub fn also_ok(x: u32) -> u32 {\n    x * 2\n}\n",
-    );
-
-    let cold = scan_workspace(ws.root(), false).expect("cold scan");
-    assert_eq!(cold.files, 2);
-    assert_eq!(cold.cache_hits, 0, "nothing cached on the first scan");
-
-    let warm = scan_workspace(ws.root(), false).expect("warm scan");
-    assert_eq!(warm.files, 2);
-    assert_eq!(
-        warm.cache_hits, 2,
-        "unchanged files must be served from the cache"
-    );
-    assert_eq!(
-        format!("{:?}", cold.diags),
-        format!("{:?}", warm.diags),
-        "cached and fresh scans agree"
-    );
-
-    // Editing one file invalidates exactly that entry.
-    ws.write(
-        "proto",
-        "b.rs",
-        "pub fn also_ok(x: u32) -> u32 {\n    x * 3\n}\n",
-    );
-    let edited = scan_workspace(ws.root(), false).expect("post-edit scan");
-    assert_eq!(edited.cache_hits, 1, "only the untouched file is a hit");
-}
-
-#[test]
 fn baseline_regeneration_is_deterministic() {
     let ws = MiniWorkspace::new("baseline-det");
     // Two files with violations, written in non-sorted order.
@@ -173,10 +133,10 @@ fn baseline_regeneration_is_deterministic() {
         "a.rs",
         "pub fn run2(v: &[u32]) -> u32 {\n    *v.first().unwrap()\n}\n",
     );
-    let one = Baseline::from_diagnostics(&scan_workspace(ws.root(), true).expect("scan").diags)
-        .serialize();
-    let two = Baseline::from_diagnostics(&scan_workspace(ws.root(), true).expect("scan").diags)
-        .serialize();
+    let one =
+        Baseline::from_diagnostics(&scan_workspace(ws.root()).expect("scan").diags).serialize();
+    let two =
+        Baseline::from_diagnostics(&scan_workspace(ws.root()).expect("scan").diags).serialize();
     assert_eq!(one, two, "refreezing must be byte-identical");
     assert!(one.contains("a.rs"), "violations present: {one}");
     assert!(one.contains("z.rs"), "violations present: {one}");

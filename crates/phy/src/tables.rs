@@ -20,17 +20,6 @@ pub enum Modulation {
     Qam64,
 }
 
-impl Modulation {
-    /// Bits carried per modulation symbol.
-    pub fn bits_per_symbol(self) -> u32 {
-        match self {
-            Modulation::Qpsk => 2,
-            Modulation::Qam16 => 4,
-            Modulation::Qam64 => 6,
-        }
-    }
-}
-
 /// One row of the CQI table (TS 36.213 Table 7.2.3-1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CqiTableEntry {

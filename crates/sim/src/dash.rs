@@ -248,13 +248,6 @@ impl DashClient {
         self.buffer_s
     }
 
-    pub fn current_bitrate(&self) -> Option<BitRate> {
-        match self.phase {
-            Phase::Downloading { level, .. } => Some(self.config.ladder[level]),
-            Phase::Paused => None,
-        }
-    }
-
     fn start_segment(&mut self, tti: Tti, delivered_bits: u64) {
         let ctx = AbrContext {
             throughput_history: self.throughput_history.clone(),

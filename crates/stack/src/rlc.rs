@@ -149,11 +149,6 @@ impl RlcTx {
         Bytes(b)
     }
 
-    /// Number of queued (whole or partial) SDUs.
-    pub fn queued_sdus(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Approximate heap footprint of this entity, for the memory-overhead
     /// experiment (Fig. 6a).
     pub fn heap_bytes(&self) -> usize {

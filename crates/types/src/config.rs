@@ -35,18 +35,6 @@ impl Bandwidth {
         }
     }
 
-    /// Bandwidth in Hz (nominal channel bandwidth).
-    pub fn hz(self) -> u64 {
-        match self {
-            Bandwidth::Mhz1_4 => 1_400_000,
-            Bandwidth::Mhz3 => 3_000_000,
-            Bandwidth::Mhz5 => 5_000_000,
-            Bandwidth::Mhz10 => 10_000_000,
-            Bandwidth::Mhz15 => 15_000_000,
-            Bandwidth::Mhz20 => 20_000_000,
-        }
-    }
-
     /// Parse from a PRB count (the representation used on the wire).
     pub fn from_n_prb(n: u8) -> crate::Result<Self> {
         Ok(match n {

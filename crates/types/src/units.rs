@@ -225,11 +225,6 @@ impl Dbm {
     pub fn to_mw(self) -> f64 {
         10f64.powf(self.0 / 10.0)
     }
-
-    /// From milliwatts.
-    pub fn from_mw(mw: f64) -> Self {
-        Dbm(10.0 * mw.log10())
-    }
 }
 
 impl Add<Db> for Dbm {

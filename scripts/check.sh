@@ -42,7 +42,7 @@ cargo test --quiet --release -p flexran-proto --lib messages::reference -- --ign
 echo "==> journal recovery equivalence, deep run (1 024 journaled runs, recovered forest == live forest)"
 cargo test --quiet --release -p flexran --test recovery_equivalence -- --ignored
 
-echo "==> allocation-regression gates (2x32 local: 0 allocs/TTI; 2x16 remote-scheduled, per-TTI full reports, journal on: 34 allocs/TTI)"
+echo "==> allocation-regression gate (scale grid 1x16..8x64 local: 0 allocs/TTI; 2x16 remote-scheduled, per-TTI full reports, journal on: 34 allocs/TTI; scheduler probe, 4 MAC schedulers: 0 allocs/call)"
 cargo run --quiet --release -p flexran-bench --bin experiments -- \
     allocgate --out target/check-allocgate
 

@@ -214,13 +214,13 @@ fn sharded_control_plane_is_bit_identical_to_one_shard() {
     }
 }
 
-/// Slab-RIB golden: the scale experiment's 1 eNB × 16 UE grid point,
-/// reproduced exactly (seed, radio specs, warm-up + measured TTI count),
-/// must digest to the value committed in BENCH_scale.json *before* the
-/// RIB was flattened from B-tree nodes onto index-addressed slabs. This
-/// pins the slab layout to the historical observable stream: any layout
-/// change that reorders iteration or perturbs state is caught here, for
-/// every shard spec.
+/// Slab-RIB golden: the scale grid's 1 eNB × 16 UE point as the former
+/// single-run scale experiment ran it (seed 7, warm-up + measured TTI
+/// count), must digest to the value that experiment committed in
+/// BENCH_scale.json *before* the RIB was flattened from B-tree nodes
+/// onto index-addressed slabs. This pins the slab layout to the
+/// historical observable stream: any layout change that reorders
+/// iteration or perturbs state is caught here, for every shard spec.
 #[test]
 fn slab_rib_digests_match_pre_flattening_goldens() {
     // Golden recorded pre-flattening (BENCH_scale.json, enbs=1,
