@@ -5,7 +5,9 @@
 //! transport; this covers it under the traffic a real deployment
 //! produces, over sim links: per-TTI or sparser full reports, subframe
 //! sync, scheduling-request events from uplink CBR flows, a UE attaching
-//! mid-run, remote or local scheduling, one or two RIB shards, and
+//! mid-run, an eNodeB that says `Hello` mid-run (its report subscription
+//! follows once the master knows it), remote or local scheduling, one or
+//! two RIB shards, and
 //! compaction every cycle, every few cycles or (almost) never. At a drawn
 //! TTI and again at the horizon, `MasterController::recover` on the live
 //! master's journal must rebuild the live forest field by field.
@@ -35,6 +37,9 @@ struct Case {
     horizon: u64,
     recover_at: u64,
     attach_at: u64,
+    /// TTI at which a further eNodeB is attached (its `Hello` reaches the
+    /// master one link delay later).
+    hello_at: u64,
     shards: ShardSpec,
     snapshot_every: u64,
     report_period: u32,
@@ -76,6 +81,38 @@ fn assert_recovers(sim: &SimHarness, config: TaskManagerConfig, case: &Case) {
     }
 }
 
+fn subscribe(sim: &mut SimHarness, enb: EnbId, case: &Case) {
+    sim.master_mut()
+        .request_stats(
+            enb,
+            ReportConfig {
+                report_type: ReportType::Periodic {
+                    period: case.report_period,
+                },
+                flags: ReportFlags::ALL,
+            },
+        )
+        .expect("the agent introduced itself");
+}
+
+fn add_enb(sim: &mut SimHarness, enb: EnbId, case: &Case) -> EnbId {
+    sim.add_enb(
+        EnbConfig::single_cell(enb),
+        AgentConfig {
+            initial_dl_scheduler: Some(
+                if case.remote {
+                    "remote-stub"
+                } else {
+                    "round-robin"
+                }
+                .into(),
+            ),
+            sync_period: 1,
+            ..AgentConfig::default()
+        },
+    )
+}
+
 fn run_case(case: Case) {
     let links = LinkConfig::with_one_way_ms(1);
     let config = TaskManagerConfig {
@@ -99,21 +136,7 @@ fn run_case(case: Case) {
     }
     let mut n_ues = 0;
     for e in 1..=N_ENBS {
-        let enb = sim.add_enb(
-            EnbConfig::single_cell(EnbId(e)),
-            AgentConfig {
-                initial_dl_scheduler: Some(
-                    if case.remote {
-                        "remote-stub"
-                    } else {
-                        "round-robin"
-                    }
-                    .into(),
-                ),
-                sync_period: 1,
-                ..AgentConfig::default()
-            },
-        );
+        let enb = add_enb(&mut sim, EnbId(e), &case);
         for _ in 0..UES_PER_ENB {
             add_ue(&mut sim, enb, case.seed, n_ues);
             n_ues += 1;
@@ -121,22 +144,24 @@ fn run_case(case: Case) {
     }
     sim.run(SETTLE_TTIS);
     for e in 1..=N_ENBS {
-        sim.master_mut()
-            .request_stats(
-                EnbId(e),
-                ReportConfig {
-                    report_type: ReportType::Periodic {
-                        period: case.report_period,
-                    },
-                    flags: ReportFlags::ALL,
-                },
-            )
-            .expect("the agent introduced itself");
+        subscribe(&mut sim, EnbId(e), &case);
     }
+    let late = EnbId(N_ENBS + 1);
+    let mut late_unsubscribed = false;
     for t in SETTLE_TTIS..case.horizon {
         if t == case.attach_at {
             add_ue(&mut sim, EnbId(2), case.seed, n_ues);
             n_ues += 1;
+        }
+        if t == case.hello_at {
+            add_enb(&mut sim, late, &case);
+            add_ue(&mut sim, late, case.seed, n_ues);
+            n_ues += 1;
+            late_unsubscribed = true;
+        }
+        if late_unsubscribed && sim.master().connected_agents().contains(&late) {
+            subscribe(&mut sim, late, &case);
+            late_unsubscribed = false;
         }
         sim.step();
         if t == case.recover_at {
@@ -148,17 +173,24 @@ fn run_case(case: Case) {
 
 fn case() -> impl Strategy<Value = Case> {
     (
-        (any::<u64>(), 50u64..401, any::<u64>(), any::<u64>()),
+        (
+            any::<u64>(),
+            50u64..401,
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+        ),
         (any::<bool>(), 0usize..3, any::<bool>(), any::<bool>()),
     )
         .prop_map(
-            |((seed, horizon, recover, attach), (two_shards, snap, sparse, remote))| {
+            |((seed, horizon, recover, attach, hello), (two_shards, snap, sparse, remote))| {
                 let span = horizon - SETTLE_TTIS;
                 Case {
                     seed,
                     horizon,
                     recover_at: SETTLE_TTIS + recover % span,
                     attach_at: SETTLE_TTIS + attach % span,
+                    hello_at: SETTLE_TTIS + hello % span,
                     shards: if two_shards {
                         ShardSpec::Fixed(2)
                     } else {
