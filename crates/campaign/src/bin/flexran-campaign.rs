@@ -39,11 +39,13 @@ usage: flexran-campaign <chaos|sweep> [flags]
   sweep — the scale grid across seeds; BENCH_scale.json with CIs
     --seeds N             seeds 0..N per grid point       (default 8)
     --ttis N              measured TTIs per run           (default 2000)
-    --warmup N            warm-up TTIs per run            (default 100)
+    --warmup N            warm-up TTIs per run            (default 2000)
     --grid LIST           grid points, e.g. 1x16,2x32     (default scale grid)
 
   common flags
-    --workers N           pool threads; 0 = all cores     (default 0)
+    --workers N           pool threads; 0 = all cores     (default: chaos 0,
+                          sweep 1 — sweep KPIs are wall-clock timings,
+                          which concurrent runs would skew)
     --out DIR             report directory                (default target/campaign)
     --max-seconds S       cancel (cooperatively) after S seconds
     --quick               clamp to a smoke-sized campaign (4 seeds, 500 TTIs)
@@ -64,18 +66,17 @@ struct CommonArgs {
     quick: bool,
 }
 
-impl Default for CommonArgs {
-    fn default() -> Self {
+impl CommonArgs {
+    /// Defaults, with the subcommand's own `--workers` default.
+    fn new(workers: usize) -> Self {
         CommonArgs {
-            workers: 0,
+            workers,
             out: std::path::PathBuf::from("target/campaign"),
             max_seconds: None,
             quick: false,
         }
     }
-}
 
-impl CommonArgs {
     /// Consume a common flag; `Ok(false)` means the flag is not a
     /// common one and the subcommand parser should reject it.
     fn consume(
@@ -141,7 +142,8 @@ fn progress_line(
 }
 
 fn run_chaos(args: &[String]) -> Result<i32, String> {
-    let mut common = CommonArgs::default();
+    // Chaos verdicts are deterministic per seed, so fan out over every core.
+    let mut common = CommonArgs::new(0);
     let mut seeds = 8u64;
     let mut ttis = 2_000u64;
     let mut configs = vec!["1".to_string()];
@@ -215,7 +217,8 @@ fn run_chaos(args: &[String]) -> Result<i32, String> {
 }
 
 fn run_sweep_cmd(args: &[String]) -> Result<i32, String> {
-    let mut common = CommonArgs::default();
+    // One run at a time: the sweep measures wall-clock TTI latency.
+    let mut common = CommonArgs::new(1);
     let mut spec = SweepSpec::default();
 
     let mut it = args.iter();

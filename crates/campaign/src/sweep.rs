@@ -41,7 +41,10 @@ pub struct SweepSpec {
     pub seeds: u64,
     /// Measured TTIs per run (after the attach warm-up).
     pub ttis: u64,
-    /// Attach/warm-up TTIs excluded from the measured window.
+    /// Attach/warm-up TTIs excluded from the measured window. The
+    /// default matches `allocgate`'s warm-up: by then every RLC buffer
+    /// has ramped to its steady capacity, so `allocs_per_tti` measures
+    /// the steady state rather than the ramp.
     pub warmup: u64,
     pub workers: usize,
 }
@@ -52,7 +55,7 @@ impl Default for SweepSpec {
             grid: vec![(1, 16), (2, 32), (4, 64), (8, 16), (8, 64)],
             seeds: 8,
             ttis: 2_000,
-            warmup: 100,
+            warmup: 2_000,
             workers: 1,
         }
     }

@@ -23,7 +23,7 @@
 //! where the payload is an encoded [`FlexranMessage`] envelope. Reusing
 //! the wire codec keeps the journal format in lock-step with the protocol
 //! (one golden format, one fuzz corpus) and makes recovery literally a
-//! replay: every record funnels through [`RibUpdater::apply`], the same
+//! replay: every record funnels through [`crate::updater::RibUpdater::apply`], the same
 //! single writer that built the RIB the first time.
 //!
 //! A delta record's payload is the envelope as it was received

@@ -437,10 +437,6 @@ impl AppRegistry {
         self.apps.sort_by_key(|a| std::cmp::Reverse(a.priority()));
     }
 
-    pub fn names(&self) -> Vec<String> {
-        self.apps.iter().map(|a| a.name().to_string()).collect()
-    }
-
     pub fn len(&self) -> usize {
         self.apps.len()
     }
@@ -477,7 +473,8 @@ mod tests {
         reg.register(Box::new(Dummy("monitor", 10)));
         reg.register(Box::new(Dummy("scheduler", 200)));
         reg.register(Box::new(Dummy("mobility", 50)));
-        assert_eq!(reg.names(), vec!["scheduler", "mobility", "monitor"]);
+        let order: Vec<String> = reg.iter_mut().map(|a| a.name().to_string()).collect();
+        assert_eq!(order, ["scheduler", "mobility", "monitor"]);
         assert_eq!(reg.len(), 3);
     }
 

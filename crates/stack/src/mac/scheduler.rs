@@ -410,7 +410,8 @@ impl DlScheduler for RoundRobinScheduler {
 /// positive table entry, `max(·, 1.0)` maps a NaN average to 1, and the
 /// exponent — private, so [`DlScheduler::set_param`]'s `0..=2` check is
 /// the only way in — keeps `base^exponent` in `[1, +inf]`. That makes the
-/// ranking a strict total order, which [`grant_best_first`] relies on.
+/// ranking a strict total order, which the shared best-first grant loop
+/// relies on.
 #[derive(Debug)]
 pub struct ProportionalFairScheduler {
     /// Fairness exponent on the average-rate denominator (1.0 = classic

@@ -23,6 +23,9 @@ cargo fmt "${OWN_PKGS[@]}" -- --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings are errors, as in CI's Docs step)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
 echo "==> flexran-lint (gated against lint-baseline.toml)"
 cargo run --quiet -p flexran-lint
 
