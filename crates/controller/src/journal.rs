@@ -23,7 +23,8 @@
 //! where the payload is an encoded [`FlexranMessage`] envelope. Reusing
 //! the wire codec keeps the journal format in lock-step with the protocol
 //! (one golden format, one fuzz corpus) and makes recovery literally a
-//! replay: every record funnels through [`crate::updater::RibUpdater::apply`], the same
+//! replay: every record funnels through
+//! [`RibUpdater::apply`](crate::updater::RibUpdater::apply), the same
 //! single writer that built the RIB the first time.
 //!
 //! A delta record's payload is the envelope as it was received
@@ -36,6 +37,18 @@
 //! anything from a transport that does not lend envelopes — are encoded
 //! by [`RibJournal::record_delta`] instead.
 //!
+//! ## Per-agent segments
+//!
+//! In memory the journal keeps one segment per agent — its snapshot, its
+//! deltas since that snapshot, and the write cycles since — and every
+//! record goes to its agent's segment. The split is sound because the
+//! updater never writes one agent's subtree while applying another
+//! agent's message, so the relative order of two agents' records never
+//! matters to recovery. [`RibJournal::write_segments`] persists each
+//! segment as an `FXJ1` journal of its own (what the master puts in its
+//! `FXS1` container, see [`encode_segments`]); [`RibJournal::bytes`]
+//! writes the whole journal as one.
+//!
 //! ## Snapshot synthesis
 //!
 //! Rather than inventing a second serialization of the RIB forest, the
@@ -44,9 +57,20 @@
 //! `ConfigReply` and a `StatsReply` at the cell's recorded update time,
 //! per UE a `UeAttached` event (tag, connectivity) followed by a
 //! `StatsReply` carrying the raw report, and a `SubframeTrigger` for the
-//! last sync pair. Compaction (every `snapshot_every` write cycles)
-//! rewrites the snapshot from the live RIB and clears the deltas, so
-//! journal memory is bounded by RIB size + one compaction window.
+//! last sync pair. The messages are refilled in reused scratch bodies, so
+//! a compaction allocates nothing once the buffers have grown.
+//!
+//! ## Compaction
+//!
+//! Compacting a segment rewrites its snapshot from the agent's live
+//! subtree and clears its deltas. Each write cycle compacts every segment
+//! that is `snapshot_every` cycles old (an upper bound on a segment's
+//! age) and, in addition, at most one segment whose deltas have grown
+//! past [`DELTA_SNAPSHOT_RATIO`] times its snapshot — the one furthest
+//! over. The byte rule bounds journal memory by the RIB's size rather
+//! than by time (Raft's size-triggered log compaction, per agent), and
+//! compacting one agent at a time bounds a cycle's compaction cost by
+//! one subtree, whatever the fleet size.
 //!
 //! ## Recovery
 //!
@@ -59,7 +83,7 @@
 use std::collections::BTreeMap;
 
 use flexran_proto::messages::events::EventKind;
-use flexran_proto::messages::stats::StatsReply;
+use flexran_proto::messages::stats::{StatsReply, UeReport};
 use flexran_proto::messages::{
     ConfigReply, EventNotification, FlexranMessage, Header, Hello, SubframeTrigger,
 };
@@ -68,7 +92,7 @@ use flexran_types::ids::EnbId;
 use flexran_types::time::Tti;
 use flexran_types::{FlexError, Result};
 
-use crate::rib::Rib;
+use crate::rib::{AgentNode, Rib};
 
 const MAGIC: &[u8; 4] = b"FXJ1";
 
@@ -87,24 +111,63 @@ const TAG_ROLLOUT: u8 = 3;
 /// for the same reason: anything larger is corruption, not data.
 const MAX_RECORD_BYTES: usize = flexran_proto::frame::MAX_FRAME_BYTES;
 
-/// The snapshot + delta journal.
+/// The byte rule: a write cycle compacts (at most) one segment whose
+/// deltas exceed this many times its snapshot. Larger values trade
+/// memory for fewer compactions: an agent's retained deltas stay below
+/// `DELTA_SNAPSHOT_RATIO × snapshot + one cycle's deltas`, and it is
+/// compacted about once every `DELTA_SNAPSHOT_RATIO × snapshot / deltas
+/// per cycle` cycles.
+pub const DELTA_SNAPSHOT_RATIO: usize = 32;
+
+/// One agent's slice of the journal.
+#[derive(Debug, Clone, Default)]
+struct Segment {
+    /// Records that rebuild the agent's subtree as of its last compaction.
+    snapshot: Vec<u8>,
+    /// The agent's delta records since then.
+    deltas: Vec<u8>,
+    /// Write cycles since the last compaction.
+    cycles_since: u64,
+}
+
+impl Segment {
+    /// Bytes of deltas beyond the byte rule's threshold (0 = within).
+    fn bytes_over(&self) -> usize {
+        self.deltas
+            .len()
+            .saturating_sub(DELTA_SNAPSHOT_RATIO * self.snapshot.len())
+    }
+}
+
+/// The snapshot + delta journal: one segment per agent, plus the
+/// delegated state and the rollout record, which are intent and survive
+/// compaction.
 #[derive(Debug, Clone)]
 pub struct RibJournal {
-    /// Write cycles between snapshot rewrites.
+    /// Upper bound, in write cycles, on a segment's age.
     snapshot_every: u64,
-    cycles_since_snapshot: u64,
-    snapshot: Vec<u8>,
-    deltas: Vec<u8>,
+    segments: BTreeMap<EnbId, Segment>,
     replay: Vec<u8>,
     /// Current rollout-controller state (raw [`crate::config`] codec
     /// bytes; empty = no rollout state). Rewritten wholesale on every
     /// rollout mutation — the state is small and self-contained, so one
     /// current record beats an unbounded mutation log.
     rollout: Vec<u8>,
-    /// Delta records appended since the last compaction (diagnostics).
+    scratch: SnapshotScratch,
+    /// Delta records appended over the journal's lifetime (diagnostics).
     deltas_recorded: u64,
-    /// Snapshot rewrites performed (diagnostics).
+    /// Segment compactions performed (diagnostics).
     compactions: u64,
+}
+
+/// Reused message bodies for snapshot synthesis. Each record is encoded
+/// from one of these, refilled in place, so a compaction allocates
+/// nothing once the bodies and the segment buffers have grown.
+#[derive(Debug, Clone, Default)]
+struct SnapshotScratch {
+    hello: Hello,
+    config: ConfigReply,
+    stats: StatsReply,
 }
 
 /// Append the 17-byte header of a record whose payload is `len` bytes.
@@ -237,11 +300,10 @@ impl RibJournal {
     pub fn new(snapshot_every: u64) -> Self {
         RibJournal {
             snapshot_every: snapshot_every.max(1),
-            cycles_since_snapshot: 0,
-            snapshot: Vec::new(),
-            deltas: Vec::new(),
+            segments: BTreeMap::new(),
             replay: Vec::new(),
             rollout: Vec::new(),
+            scratch: SnapshotScratch::default(),
             deltas_recorded: 0,
             compactions: 0,
         }
@@ -251,7 +313,8 @@ impl RibJournal {
     /// updater folds it) by encoding it — for messages whose received
     /// envelope is not at hand (see [`Self::record_delta_envelope`]).
     pub fn record_delta(&mut self, enb: EnbId, now: Tti, msg: &FlexranMessage) {
-        append_record(&mut self.deltas, TAG_RIB, enb, now, msg);
+        let segment = self.segments.entry(enb).or_default();
+        append_record(&mut segment.deltas, TAG_RIB, enb, now, msg);
         self.deltas_recorded += 1;
     }
 
@@ -260,8 +323,15 @@ impl RibJournal {
     /// message `envelope` decoded to). Recovery decodes it to that same
     /// message; the sender's header rides along and is ignored.
     pub fn record_delta_envelope(&mut self, enb: EnbId, now: Tti, envelope: &[u8]) {
-        append_record_header(&mut self.deltas, TAG_RIB, enb, now, envelope.len() as u32);
-        self.deltas.extend_from_slice(envelope);
+        let segment = self.segments.entry(enb).or_default();
+        append_record_header(
+            &mut segment.deltas,
+            TAG_RIB,
+            enb,
+            now,
+            envelope.len() as u32,
+        );
+        segment.deltas.extend_from_slice(envelope);
         self.deltas_recorded += 1;
     }
 
@@ -281,23 +351,45 @@ impl RibJournal {
         self.rollout.extend_from_slice(state);
     }
 
-    /// Called once per closed write cycle; rewrites the snapshot and
-    /// drops the deltas every `snapshot_every` cycles.
+    /// Called once per closed write cycle: compacts every segment that is
+    /// `snapshot_every` cycles old, then at most one more whose deltas
+    /// exceed [`DELTA_SNAPSHOT_RATIO`] times its snapshot — the one with
+    /// the most bytes over.
     pub fn on_write_cycle(&mut self, rib: &Rib) {
-        self.cycles_since_snapshot += 1;
-        if self.cycles_since_snapshot >= self.snapshot_every {
-            // lint:allow(alloc-reach) compaction — amortized over snapshot_every cycles
-            self.compact(rib);
+        let mut furthest: Option<(EnbId, usize)> = None;
+        for (&enb, segment) in &mut self.segments {
+            segment.cycles_since += 1;
+            if segment.cycles_since >= self.snapshot_every {
+                compact_segment(segment, rib.agent(enb), &mut self.scratch);
+                self.compactions += 1;
+                continue;
+            }
+            let over = segment.bytes_over();
+            if over > furthest.map_or(0, |(_, most)| most) {
+                furthest = Some((enb, over));
+            }
         }
+        if let Some((enb, _)) = furthest {
+            if let Some(segment) = self.segments.get_mut(&enb) {
+                compact_segment(segment, rib.agent(enb), &mut self.scratch);
+                self.compactions += 1;
+            }
+        }
+        // A segment whose agent left the RIB now holds nothing: drop it.
+        self.segments
+            .retain(|_, s| !(s.snapshot.is_empty() && s.deltas.is_empty()));
     }
 
-    /// Rewrite the snapshot from the live RIB now and clear the deltas.
+    /// Compact every segment now: rewrite each agent's snapshot from the
+    /// live RIB and clear the deltas. Agents in `rib` without a segment
+    /// get one; segments of agents no longer in `rib` are dropped.
     pub fn compact(&mut self, rib: &Rib) {
-        self.snapshot.clear();
-        synthesize_snapshot(rib, &mut self.snapshot);
-        self.deltas.clear();
-        self.cycles_since_snapshot = 0;
-        self.compactions += 1;
+        self.segments.retain(|&enb, _| rib.agent(enb).is_some());
+        for agent in rib.agents() {
+            let segment = self.segments.entry(agent.enb_id).or_default();
+            compact_segment(segment, Some(agent), &mut self.scratch);
+            self.compactions += 1;
+        }
     }
 
     /// Carry the replay section of a previous incarnation forward
@@ -314,35 +406,26 @@ impl RibJournal {
         }
     }
 
-    /// Serialize the whole journal (what a deployment would fsync).
+    /// Serialize the whole journal as one `FXJ1` journal.
     pub fn bytes(&self) -> Vec<u8> {
-        let rollout_len = if self.rollout.is_empty() {
-            0
-        } else {
-            17 + self.rollout.len()
-        };
-        let mut out = Vec::with_capacity(
-            12 + self.snapshot.len() + self.replay.len() + rollout_len + self.deltas.len(),
-        );
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(self.snapshot.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.snapshot);
-        out.extend_from_slice(&((self.replay.len() + rollout_len) as u32).to_be_bytes());
-        out.extend_from_slice(&self.replay);
-        if !self.rollout.is_empty() {
-            // Same record framing as every other kind, raw payload: the
-            // rollout state has no eNodeB or TTI of its own.
-            append_record_header(
-                &mut out,
-                TAG_ROLLOUT,
-                EnbId(0),
-                Tti::ZERO,
-                self.rollout.len() as u32,
-            );
-            out.extend_from_slice(&self.rollout);
+        encode_journal(self.segments.values(), &self.replay, &self.rollout)
+    }
+
+    /// Serialize the journal as one `FXJ1` journal per agent segment, in
+    /// agent-id order, then one for the replay section and rollout record
+    /// if either is non-empty — the per-agent form a master persists in
+    /// its [`encode_segments`] container.
+    pub fn write_segments(&self, out: &mut Vec<Vec<u8>>) {
+        for segment in self.segments.values() {
+            out.push(encode_journal(std::iter::once(segment), &[], &[]));
         }
-        out.extend_from_slice(&self.deltas);
-        out
+        if !self.replay.is_empty() || !self.rollout.is_empty() {
+            out.push(encode_journal(
+                std::iter::empty(),
+                &self.replay,
+                &self.rollout,
+            ));
+        }
     }
 
     /// Parse journal bytes back into records. Structured errors on any
@@ -369,12 +452,21 @@ impl RibJournal {
 
     /// Journal heap footprint (bounded-memory assertions).
     pub fn heap_bytes(&self) -> usize {
-        self.snapshot.capacity()
-            + self.deltas.capacity()
+        self.segments
+            .values()
+            .map(|s| s.snapshot.capacity() + s.deltas.capacity())
+            .sum::<usize>()
             + self.replay.capacity()
             + self.rollout.capacity()
     }
 
+    /// Agents that have a segment, ascending by id.
+    #[cfg(test)]
+    pub(crate) fn agents(&self) -> impl Iterator<Item = EnbId> + '_ {
+        self.segments.keys().copied()
+    }
+
+    /// Segment compactions performed, by either rule or by [`Self::compact`].
     pub fn compactions(&self) -> u64 {
         self.compactions
     }
@@ -384,112 +476,173 @@ impl RibJournal {
     }
 }
 
-/// Emit the message sequence that rebuilds `rib` exactly when replayed
-/// through [`crate::updater::RibUpdater::apply`] at each record's TTI.
-fn synthesize_snapshot(rib: &Rib, out: &mut Vec<u8>) {
-    for agent in rib.agents() {
-        let enb = agent.enb_id;
-        append_record(
-            out,
-            TAG_RIB,
-            enb,
-            agent.connected_at,
-            &FlexranMessage::Hello(Hello {
-                enb_id: enb,
-                n_cells: agent.n_cells,
-                capabilities: agent.capabilities.clone(),
-                // Sessions are marked down on recovery and agents
-                // re-introduce themselves, so the live signature arrives
-                // with the post-recovery Hello, not from the snapshot.
-                applied_config: 0,
-            }),
+/// Rewrite a segment's snapshot from its agent's live subtree (`None`:
+/// the agent left the RIB, so the segment empties) and clear its deltas.
+fn compact_segment(
+    segment: &mut Segment,
+    agent: Option<&AgentNode>,
+    scratch: &mut SnapshotScratch,
+) {
+    segment.snapshot.clear();
+    if let Some(agent) = agent {
+        synthesize_agent(agent, &mut segment.snapshot, scratch);
+    }
+    segment.deltas.clear();
+    segment.cycles_since = 0;
+}
+
+/// Write one `FXJ1` journal: the segments' snapshots, the replay section
+/// (delegated state, then the rollout record if any), the segments'
+/// deltas. Each agent's records stay in order; interleaving across agents
+/// is immaterial to recovery (see the module docs).
+fn encode_journal<'a>(
+    segments: impl Iterator<Item = &'a Segment> + Clone,
+    replay: &[u8],
+    rollout: &[u8],
+) -> Vec<u8> {
+    let rollout_len = if rollout.is_empty() {
+        0
+    } else {
+        17 + rollout.len()
+    };
+    let snapshot_len: usize = segments.clone().map(|s| s.snapshot.len()).sum();
+    let deltas_len: usize = segments.clone().map(|s| s.deltas.len()).sum();
+    let mut out = Vec::with_capacity(12 + snapshot_len + replay.len() + rollout_len + deltas_len);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&(snapshot_len as u32).to_be_bytes());
+    for segment in segments.clone() {
+        out.extend_from_slice(&segment.snapshot);
+    }
+    out.extend_from_slice(&((replay.len() + rollout_len) as u32).to_be_bytes());
+    out.extend_from_slice(replay);
+    if !rollout.is_empty() {
+        // Same record framing as every other kind, raw payload: the
+        // rollout state has no eNodeB or TTI of its own.
+        append_record_header(
+            &mut out,
+            TAG_ROLLOUT,
+            EnbId(0),
+            Tti::ZERO,
+            rollout.len() as u32,
         );
-        for cell in agent.cells() {
-            if let Some(config) = &cell.config {
-                append_record(
-                    out,
-                    TAG_RIB,
-                    enb,
-                    cell.updated,
-                    &FlexranMessage::ConfigReply(ConfigReply {
-                        enb_id: enb,
-                        cells: vec![*config],
-                        ues: Vec::new(),
-                    }),
-                );
-            }
-            if let Some(report) = &cell.last_report {
-                append_record(
-                    out,
-                    TAG_RIB,
-                    enb,
-                    cell.updated,
-                    &FlexranMessage::StatsReply(StatsReply {
-                        enb_id: enb,
-                        tti: cell.updated.0,
-                        cells: vec![*report],
-                        ues: Vec::new(),
-                    }),
-                );
-            }
-            for ue in cell.ues() {
-                // The attach/RACH event restores the UE tag and the
-                // connected flag (neither carried by reports); a stats
-                // record then overwrites the report verbatim. UEs that
-                // never produced a stats report still hold the default
-                // report (whose RNTI field is 0, which the updater's
-                // validation rejects) — they are restored by the event
-                // alone, which recreates that default state exactly.
-                let kind = if ue.report.connected {
-                    EventKind::UeAttached
-                } else {
-                    EventKind::RachAttempt
-                };
-                append_record(
-                    out,
-                    TAG_RIB,
-                    enb,
-                    ue.updated,
-                    &FlexranMessage::EventNotification(EventNotification {
-                        enb_id: enb,
-                        kind,
-                        cell: cell.cell_id.0,
-                        rnti: ue.rnti.0,
-                        ue_tag: ue.ue_tag.0,
-                        tti: ue.updated.0,
-                        ..EventNotification::default()
-                    }),
-                );
-                if ue.report.rnti != 0 {
-                    append_record(
-                        out,
-                        TAG_RIB,
-                        enb,
-                        ue.updated,
-                        &FlexranMessage::StatsReply(StatsReply {
-                            enb_id: enb,
-                            tti: ue.updated.0,
-                            cells: Vec::new(),
-                            ues: vec![ue.report.clone()],
-                        }),
-                    );
-                }
-            }
+        out.extend_from_slice(rollout);
+    }
+    for segment in segments {
+        out.extend_from_slice(&segment.deltas);
+    }
+    out
+}
+
+impl SnapshotScratch {
+    fn append_hello(&mut self, out: &mut Vec<u8>, enb: EnbId, tti: Tti) {
+        let msg = FlexranMessage::Hello(std::mem::take(&mut self.hello));
+        append_record(out, TAG_RIB, enb, tti, &msg);
+        if let FlexranMessage::Hello(body) = msg {
+            self.hello = body;
         }
-        if let Some((agent_tti, received)) = agent.last_sync {
+    }
+
+    fn append_config(&mut self, out: &mut Vec<u8>, enb: EnbId, tti: Tti) {
+        let msg = FlexranMessage::ConfigReply(std::mem::take(&mut self.config));
+        append_record(out, TAG_RIB, enb, tti, &msg);
+        if let FlexranMessage::ConfigReply(body) = msg {
+            self.config = body;
+        }
+    }
+
+    fn append_stats(&mut self, out: &mut Vec<u8>, enb: EnbId, tti: Tti) {
+        let msg = FlexranMessage::StatsReply(std::mem::take(&mut self.stats));
+        append_record(out, TAG_RIB, enb, tti, &msg);
+        if let FlexranMessage::StatsReply(body) = msg {
+            self.stats = body;
+        }
+    }
+}
+
+/// Emit the message sequence that rebuilds `agent`'s subtree exactly when
+/// replayed through [`crate::updater::RibUpdater::apply`] at each
+/// record's TTI.
+fn synthesize_agent(agent: &AgentNode, out: &mut Vec<u8>, scratch: &mut SnapshotScratch) {
+    let enb = agent.enb_id;
+    scratch.hello.enb_id = enb;
+    scratch.hello.n_cells = agent.n_cells;
+    scratch.hello.capabilities.clone_from(&agent.capabilities);
+    // Sessions are marked down on recovery and agents re-introduce
+    // themselves, so the live signature arrives with the post-recovery
+    // Hello, not from the snapshot.
+    scratch.hello.applied_config = 0;
+    scratch.append_hello(out, enb, agent.connected_at);
+    scratch.config.enb_id = enb;
+    scratch.config.ues.clear();
+    scratch.stats.enb_id = enb;
+    for cell in agent.cells() {
+        if let Some(config) = &cell.config {
+            scratch.config.cells.clear();
+            scratch.config.cells.push(*config);
+            scratch.append_config(out, enb, cell.updated);
+        }
+        if let Some(report) = &cell.last_report {
+            scratch.stats.tti = cell.updated.0;
+            scratch.stats.cells.clear();
+            scratch.stats.cells.push(*report);
+            scratch.stats.ues.clear();
+            scratch.append_stats(out, enb, cell.updated);
+        }
+        for ue in cell.ues() {
+            // The attach/RACH event restores the UE tag and the
+            // connected flag (neither carried by reports); a stats
+            // record then overwrites the report verbatim. UEs that
+            // never produced a stats report still hold the default
+            // report (whose RNTI field is 0, which the updater's
+            // validation rejects) — they are restored by the event
+            // alone, which recreates that default state exactly.
+            let kind = if ue.report.connected {
+                EventKind::UeAttached
+            } else {
+                EventKind::RachAttempt
+            };
             append_record(
                 out,
                 TAG_RIB,
                 enb,
-                received,
-                &FlexranMessage::SubframeTrigger(SubframeTrigger {
+                ue.updated,
+                &FlexranMessage::EventNotification(EventNotification {
                     enb_id: enb,
-                    sfn: (agent_tti.0 / 10 % 1024) as u16,
-                    sf: (agent_tti.0 % 10) as u8,
-                    tti: agent_tti.0,
+                    kind,
+                    cell: cell.cell_id.0,
+                    rnti: ue.rnti.0,
+                    ue_tag: ue.ue_tag.0,
+                    tti: ue.updated.0,
+                    ..EventNotification::default()
                 }),
             );
+            if ue.report.rnti != 0 {
+                scratch.stats.tti = ue.updated.0;
+                scratch.stats.cells.clear();
+                if scratch.stats.ues.is_empty() {
+                    scratch.stats.ues.push(UeReport::default());
+                }
+                scratch.stats.ues.truncate(1);
+                if let Some(slot) = scratch.stats.ues.first_mut() {
+                    slot.clone_from(&ue.report);
+                }
+                scratch.append_stats(out, enb, ue.updated);
+            }
         }
+    }
+    if let Some((agent_tti, received)) = agent.last_sync {
+        append_record(
+            out,
+            TAG_RIB,
+            enb,
+            received,
+            &FlexranMessage::SubframeTrigger(SubframeTrigger {
+                enb_id: enb,
+                sfn: (agent_tti.0 / 10 % 1024) as u16,
+                sf: (agent_tti.0 % 10) as u8,
+                tti: agent_tti.0,
+            }),
+        );
     }
 }
 
@@ -554,7 +707,6 @@ pub fn mutates_rib(msg: &FlexranMessage) -> bool {
 mod tests {
     use super::*;
     use crate::updater::RibUpdater;
-    use flexran_proto::messages::stats::UeReport;
 
     fn rebuild(state: &RecoveredState) -> Rib {
         let mut rib = Rib::new();
@@ -883,16 +1035,159 @@ mod tests {
         let mut up = RibUpdater::new();
         let mut j = RibJournal::new(3);
         populate(&mut rib, &mut up, &mut j);
+        // Start from a snapshot and record nothing more, so no segment
+        // is over the byte bound and only the cycle bound acts.
+        j.compact(&rib);
+        assert_eq!(j.compactions(), 1);
         j.on_write_cycle(&rib);
-        j.on_write_cycle(&rib);
-        assert_eq!(j.compactions(), 0);
         j.on_write_cycle(&rib);
         assert_eq!(j.compactions(), 1);
+        j.on_write_cycle(&rib);
+        assert_eq!(j.compactions(), 2);
         // Memory stays bounded across many cycles.
         let after_first = j.heap_bytes();
         for _ in 0..100 {
             j.on_write_cycle(&rib);
         }
         assert!(j.heap_bytes() <= after_first.max(1) * 2);
+    }
+
+    /// A full report per agent per cycle, `n_ues` UEs each.
+    fn report(enb: EnbId, n_ues: u16, t: u64) -> FlexranMessage {
+        FlexranMessage::StatsReply(StatsReply {
+            enb_id: enb,
+            tti: t,
+            cells: vec![],
+            ues: (0..n_ues)
+                .map(|i| UeReport {
+                    rnti: 0x100 + i,
+                    connected: true,
+                    wideband_cqi: (t % 15) as u8,
+                    subband_cqi: [9, 10, 11].into(),
+                    dl_tbs_bits_total: t * 1_000 + u64::from(i),
+                    ..UeReport::default()
+                })
+                .collect(),
+        })
+    }
+
+    #[test]
+    fn byte_rule_bounds_each_segment_and_compacts_one_per_cycle() {
+        let mut rib = Rib::new();
+        let mut up = RibUpdater::new();
+        // The cycle bound is out of reach: only the byte rule compacts.
+        let mut j = RibJournal::new(u64::MAX);
+        let agents = [(EnbId(1), 2u16), (EnbId(2), 5), (EnbId(3), 9)];
+        let mut feed = |rib: &mut Rib, j: &mut RibJournal, enb: EnbId, t: u64, msg| {
+            up.apply(rib, enb, &msg, Tti(t));
+            j.record_delta(enb, Tti(t), &msg);
+        };
+        for &(enb, n_ues) in &agents {
+            let hello = FlexranMessage::Hello(Hello {
+                enb_id: enb,
+                n_cells: 1,
+                capabilities: vec!["dl_scheduling".into()],
+                applied_config: 0,
+            });
+            feed(&mut rib, &mut j, enb, 0, hello);
+            feed(&mut rib, &mut j, enb, 0, report(enb, n_ues, 0));
+        }
+        // Fresh segments have empty snapshots, so all start over the
+        // bound at once and queue for their turn; the bound below is the
+        // steady state's, from a first snapshot on.
+        j.compact(&rib);
+        let mut cycle_bytes = BTreeMap::new();
+        for t in 1..=2_000u64 {
+            for &(enb, n_ues) in &agents {
+                let before = j.segments.get(&enb).map_or(0, |s| s.deltas.len());
+                feed(&mut rib, &mut j, enb, t, report(enb, n_ues, t));
+                let after = j.segments.get(&enb).map_or(0, |s| s.deltas.len());
+                cycle_bytes.insert(enb, after - before);
+            }
+            let compactions = j.compactions();
+            j.on_write_cycle(&rib);
+            assert!(
+                j.compactions() - compactions <= 1,
+                "cycle {t}: more than one byte-triggered compaction"
+            );
+            for (enb, segment) in &j.segments {
+                let bound = 2 * (DELTA_SNAPSHOT_RATIO * segment.snapshot.len() + cycle_bytes[enb]);
+                assert!(
+                    segment.deltas.capacity() <= bound,
+                    "cycle {t}: {enb} retains {} delta bytes, bound {bound}",
+                    segment.deltas.capacity()
+                );
+            }
+        }
+        // Every agent was compacted again and again, and the journal
+        // still rebuilds the RIB exactly.
+        assert!(j.compactions() > 10 * agents.len() as u64);
+        let state = RibJournal::parse(&j.bytes()).unwrap();
+        assert_eq!(rebuild(&state), rib);
+    }
+
+    #[test]
+    fn segments_follow_the_rib() {
+        let mut rib = Rib::new();
+        let mut up = RibUpdater::new();
+        let mut j = RibJournal::new(1000);
+        populate(&mut rib, &mut up, &mut j);
+        assert_eq!(j.agents().collect::<Vec<_>>(), [EnbId(1)]);
+        // An agent whose subtree leaves the RIB leaves no segment behind,
+        // whichever rule compacts it.
+        rib.remove_agent(EnbId(1));
+        j.on_write_cycle(&rib);
+        assert_eq!(j.agents().count(), 0);
+        populate(&mut rib, &mut up, &mut j);
+        rib.remove_agent(EnbId(1));
+        j.compact(&rib);
+        assert_eq!(j.agents().count(), 0);
+        // A full compaction gives every RIB agent a segment.
+        let mut other = Rib::new();
+        populate(&mut other, &mut up, &mut RibJournal::new(1000));
+        j.compact(&other);
+        assert_eq!(j.agents().collect::<Vec<_>>(), [EnbId(1)]);
+        assert_eq!(rebuild(&RibJournal::parse(&j.bytes()).unwrap()), other);
+    }
+
+    #[test]
+    fn per_agent_segments_each_recover_their_agent() {
+        let mut rib = Rib::new();
+        let mut up = RibUpdater::new();
+        let mut j = RibJournal::new(1000);
+        populate(&mut rib, &mut up, &mut j);
+        let hello = FlexranMessage::Hello(Hello {
+            enb_id: EnbId(2),
+            n_cells: 1,
+            capabilities: vec![],
+            applied_config: 0,
+        });
+        up.apply(&mut rib, EnbId(2), &hello, Tti(30));
+        j.record_delta(EnbId(2), Tti(30), &hello);
+        j.compact(&rib);
+        let msg = report(EnbId(2), 3, 31);
+        up.apply(&mut rib, EnbId(2), &msg, Tti(31));
+        j.record_delta(EnbId(2), Tti(31), &msg);
+        j.record_replay(
+            EnbId(2),
+            &FlexranMessage::StatsRequest(flexran_proto::messages::StatsRequest::default()),
+        );
+        let mut segments = Vec::new();
+        j.write_segments(&mut segments);
+        assert_eq!(segments.len(), 3, "two agents, then the replay section");
+        let mut rebuilt = Rib::new();
+        let mut replay = 0;
+        for bytes in &segments {
+            let state = RibJournal::parse(bytes).unwrap();
+            let agents: std::collections::BTreeSet<EnbId> =
+                state.rib_records.iter().map(|r| r.enb).collect();
+            assert!(agents.len() <= 1, "one agent per segment");
+            for r in &state.rib_records {
+                up.apply(&mut rebuilt, r.enb, &r.msg, r.tti);
+            }
+            replay += state.replay.values().map(Vec::len).sum::<usize>();
+        }
+        assert_eq!(rebuilt, rib);
+        assert_eq!(replay, 1);
     }
 }

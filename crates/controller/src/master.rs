@@ -301,16 +301,16 @@ impl MasterController {
 
     /// Serialized journal of this incarnation, if journaling is on (what
     /// a deployment would keep fsynced; the sim harness carries it across
-    /// a simulated crash). One segment per shard, in shard-index order.
+    /// a simulated crash). One `FXJ1` segment per agent, in shard-index
+    /// then agent-id order, each shard's delegated state after its agents.
     pub fn journal_bytes(&self) -> Option<Vec<u8>> {
         if self.config.journal_snapshot_every == 0 {
             return None;
         }
-        let mut segments: Vec<Vec<u8>> = self
-            .shards
-            .iter()
-            .filter_map(|s| s.journal.as_ref().map(|j| j.bytes()))
-            .collect();
+        let mut segments: Vec<Vec<u8>> = Vec::new();
+        for journal in self.shards.iter().filter_map(|s| s.journal.as_ref()) {
+            journal.write_segments(&mut segments);
+        }
         if !self.rollout_state.is_empty() {
             // The rollout record gets its own final segment: it is
             // fleet-wide state that belongs to no shard, and a journal
@@ -322,7 +322,7 @@ impl MasterController {
         Some(encode_segments(&segments))
     }
 
-    /// Journal compaction count across all shard segments (diagnostics).
+    /// Journal compactions across all agent segments (diagnostics).
     pub fn journal_compactions(&self) -> Option<u64> {
         if self.config.journal_snapshot_every == 0 {
             return None;
@@ -1476,6 +1476,53 @@ mod tests {
             rib.agent_mut(EnbId(i)).mark_fresh();
         }
         assert_eq!(rib, pre_crash);
+    }
+
+    #[test]
+    fn rehomed_session_leaves_no_stale_journal_segment() {
+        // A session that re-introduces itself under an agent id another
+        // shard owns moves there; every shard's journal must then hold a
+        // segment for exactly the agents its RIB holds, and the journal
+        // must still recover the live forest.
+        let config = TaskManagerConfig {
+            journal_snapshot_every: 1000,
+            shards: ShardSpec::Fixed(2),
+            ..TaskManagerConfig::default()
+        };
+        let mut master = MasterController::new(config);
+        let (mut agent_side, master_side) = channel_pair();
+        master.add_agent(Box::new(master_side));
+        let hello = |enb| {
+            FlexranMessage::Hello(Hello {
+                enb_id: EnbId(enb),
+                n_cells: 1,
+                capabilities: vec![],
+                applied_config: 0,
+            })
+        };
+        agent_side.send(Header::default(), &hello(2)).unwrap();
+        for t in 0..3 {
+            master.run_cycle(Tti(t));
+        }
+        assert_eq!(master.shard_of(EnbId(2)), Some(0));
+        agent_side.send(Header::default(), &hello(3)).unwrap();
+        for t in 3..6 {
+            master.run_cycle(Tti(t));
+        }
+        assert_eq!(master.connected_agents(), vec![EnbId(3)]);
+        assert_eq!(master.shard_of(EnbId(3)), Some(1));
+        for shard in master.shards() {
+            let journal = shard.journal.as_ref().unwrap();
+            let rib_agents: Vec<EnbId> = shard.rib().agents().map(|a| a.enb_id).collect();
+            assert_eq!(journal.agents().collect::<Vec<_>>(), rib_agents);
+        }
+        let journal = master.journal_bytes().unwrap();
+        let recovered = MasterController::recover(config, &journal, Tti(50)).unwrap();
+        let mut rib = recovered.merged_rib();
+        for enb in [EnbId(2), EnbId(3)] {
+            rib.agent_mut(enb).mark_fresh();
+        }
+        assert_eq!(rib, master.merged_rib());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * a private [`Rib`] forest holding only the owned agents' subtrees,
 //! * its own single-writer [`RibUpdater`] (one writer **per shard** —
 //!   the R1 lint's discipline, now multiplied),
-//! * its own [`RibJournal`] segment (crash recovery replays segments
-//!   independently; the container format is `journal::encode_segments`),
+//! * its own [`RibJournal`], one segment per owned agent (crash recovery
+//!   replays segments independently; the container format is
+//!   `journal::encode_segments`),
 //! * the agent sessions themselves, so a shard's RIB slot touches no
 //!   state outside the shard.
 //!
@@ -520,8 +521,9 @@ impl RibShard {
             }
         }
         // Durability point: the write cycle's deltas are already
-        // journaled; rewrite the snapshot on the compaction schedule so
-        // journal memory stays bounded by shard RIB size.
+        // journaled; compact the segments the cycle bound makes due plus
+        // at most one over the byte bound, so journal memory stays
+        // bounded by shard RIB size.
         if let Some(journal) = self.journal.as_mut() {
             journal.on_write_cycle(&self.rib);
         }

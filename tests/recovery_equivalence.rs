@@ -8,7 +8,8 @@
 //! mid-run, an eNodeB that says `Hello` mid-run (its report subscription
 //! follows once the master knows it), remote or local scheduling, one or
 //! two RIB shards, and
-//! compaction every cycle, every few cycles or (almost) never. At a drawn
+//! a compaction cycle bound of every cycle, every few cycles or (almost)
+//! never — in which case the byte rule alone compacts. At a drawn
 //! TTI and again at the horizon, `MasterController::recover` on the live
 //! master's journal must rebuild the live forest field by field.
 //!
@@ -169,6 +170,16 @@ fn run_case(case: Case) {
         }
     }
     assert_recovers(&sim, config, &case);
+    if case.snapshot_every > case.horizon {
+        // The cycle bound never came due, so every compaction so far is
+        // the byte rule's: at least one per agent that said Hello by the
+        // settle time (its fresh segment starts over the bound).
+        let compactions = sim.master().journal_compactions().unwrap_or(0);
+        assert!(
+            compactions >= u64::from(N_ENBS),
+            "{compactions} byte-triggered compactions for {case:?}"
+        );
+    }
 }
 
 fn case() -> impl Strategy<Value = Case> {
