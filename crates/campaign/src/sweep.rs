@@ -42,9 +42,8 @@ pub struct SweepSpec {
     /// Measured TTIs per run (after the attach warm-up).
     pub ttis: u64,
     /// Attach/warm-up TTIs excluded from the measured window. The
-    /// default matches `allocgate`'s warm-up: by then every RLC buffer
-    /// has ramped to its steady capacity, so `allocs_per_tti` measures
-    /// the steady state rather than the ramp.
+    /// default matches `allocgate`'s warm-up, past most of the RLC
+    /// queues' ramp to full-buffer depth.
     pub warmup: u64,
     pub workers: usize,
 }
