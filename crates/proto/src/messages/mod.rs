@@ -15,6 +15,8 @@
 pub mod commands;
 pub mod config;
 pub mod delegation;
+#[cfg(test)]
+mod encode_reference;
 pub mod events;
 #[cfg(test)]
 pub(crate) mod reference;

@@ -39,20 +39,36 @@ fn codec(what: &str) -> FlexError {
     FlexError::Codec(what.into())
 }
 
+/// One byte into a running (pre-inverted) CRC-32, one bit at a time.
+fn crc32_bitwise_step(mut crc: u32, b: u8) -> u32 {
+    crc ^= b as u32;
+    for _ in 0..8 {
+        crc = if crc & 1 != 0 {
+            (crc >> 1) ^ 0xEDB8_8320
+        } else {
+            crc >> 1
+        };
+    }
+    crc
+}
+
 /// The textbook CRC-32: one bit at a time, no table.
 pub(crate) fn crc32_bitwise(data: &[u8]) -> u32 {
+    !data
+        .iter()
+        .fold(!0u32, |crc, &b| crc32_bitwise_step(crc, b))
+}
+
+/// `crc32_bitwise(&data[..n])` for every `n` in `0..=data.len()`, in
+/// one pass.
+pub(crate) fn crc32_bitwise_prefixes(data: &[u8]) -> Vec<u32> {
     let mut crc = !0u32;
+    let mut out = vec![!crc];
     for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-        }
+        crc = crc32_bitwise_step(crc, b);
+        out.push(!crc);
     }
-    !crc
+    out
 }
 
 /// One base-128 varint at `*pos`: at most ten bytes, the tenth no more
@@ -307,7 +323,7 @@ fn ref_subframe(data: &[u8]) -> Result<SubframeTrigger> {
     Ok(m)
 }
 
-const EVENT_KINDS: [EventKind; 10] = [
+pub(super) const EVENT_KINDS: [EventKind; 10] = [
     EventKind::RachAttempt,
     EventKind::UeAttached,
     EventKind::AttachFailed,
@@ -475,10 +491,10 @@ fn ref_decode(data: &[u8]) -> Result<(Header, FlexranMessage)> {
 // ----------------------------------------------------------------------
 
 /// splitmix64, seeded per case by the proptest harness.
-struct Gen(u64);
+pub(super) struct Gen(pub(super) u64);
 
 impl Gen {
-    fn next(&mut self) -> u64 {
+    pub(super) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -486,22 +502,22 @@ impl Gen {
         z ^ (z >> 31)
     }
 
-    fn below(&mut self, n: u64) -> u64 {
+    pub(super) fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
 
-    fn one_in(&mut self, n: u64) -> bool {
+    pub(super) fn one_in(&mut self, n: u64) -> bool {
         self.below(n) == 0
     }
 
     /// 0, or a value one, two or up to ten varint bytes wide — the widths
     /// the codec treats differently.
-    fn val(&mut self) -> u64 {
+    pub(super) fn val(&mut self) -> u64 {
         let width = self.below(4);
         self.val_of(width)
     }
 
-    fn val_of(&mut self, width: u64) -> u64 {
+    pub(super) fn val_of(&mut self, width: u64) -> u64 {
         match width {
             0 => 0,
             1 => self.below(0x80),
@@ -510,7 +526,7 @@ impl Gen {
         }
     }
 
-    fn sval(&mut self) -> i64 {
+    pub(super) fn sval(&mut self) -> i64 {
         let v = self.val() as i64;
         if self.one_in(2) {
             v.wrapping_neg()
@@ -520,7 +536,7 @@ impl Gen {
     }
 
     /// A repeated field's length: empty, full, or anything between.
-    fn len(&mut self, cap: usize) -> usize {
+    pub(super) fn len(&mut self, cap: usize) -> usize {
         match self.below(4) {
             0 => 0,
             1 => cap,
@@ -612,7 +628,7 @@ fn arbitrary_cell(g: &mut Gen) -> CellReport {
     }
 }
 
-fn arbitrary_body(g: &mut Gen) -> FlexranMessage {
+pub(super) fn arbitrary_body(g: &mut Gen) -> FlexranMessage {
     match g.below(5) {
         0 => FlexranMessage::StatsReply(StatsReply {
             enb_id: EnbId(g.val() as u32),

@@ -659,7 +659,7 @@ pub(crate) use wire_order_decoder;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::reference::crc32_bitwise;
+    use crate::messages::reference::{crc32_bitwise, crc32_bitwise_prefixes};
     use proptest::prelude::*;
 
     #[test]
@@ -850,6 +850,70 @@ mod tests {
         assert!(r.next_field().is_err());
     }
 
+    /// `crc32` against the bit-at-a-time reference on every window
+    /// `data[offset..offset + len]`, `len` in `0..=CRC_WINDOW`: every
+    /// count of 16-byte steps and every tail, at the drawn alignment.
+    fn check_crc32_windows(data: &[u8], offset: usize) {
+        let window = &data[offset..offset + CRC_WINDOW];
+        let want = crc32_bitwise_prefixes(window);
+        for (len, want) in want.iter().enumerate() {
+            assert_eq!(crc32(&window[..len]), *want, "len {len} at offset {offset}");
+        }
+    }
+
+    const CRC_WINDOW: usize = 4096;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn crc32_windows_match_bitwise_reference(
+            data in proptest::collection::vec(any::<u8>(), CRC_WINDOW + 64..CRC_WINDOW + 65),
+            offset in 0usize..64,
+        ) {
+            check_crc32_windows(&data, offset);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn crc32_matches_bitwise_on_arbitrary_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..8192),
+        ) {
+            prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
+    }
+
+    // The vendored proptest honours only `ProptestConfig::cases`, so the
+    // deep runs are their own `#[ignore]`d blocks; `scripts/check.sh` and
+    // CI invoke them in release with `-- --ignored`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        #[ignore = "deep run: cargo test --release -p flexran-proto --lib wire:: -- --ignored"]
+        fn deep_crc32_windows_match_bitwise_reference(
+            data in proptest::collection::vec(any::<u8>(), CRC_WINDOW + 64..CRC_WINDOW + 65),
+            offset in 0usize..64,
+        ) {
+            check_crc32_windows(&data, offset);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        #[ignore = "deep run: cargo test --release -p flexran-proto --lib wire:: -- --ignored"]
+        fn deep_crc32_matches_bitwise_on_arbitrary_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..8192),
+        ) {
+            prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
+    }
+
     proptest! {
         #[test]
         fn uvarint_roundtrip(v in any::<u64>()) {
@@ -859,21 +923,6 @@ mod tests {
             prop_assert_eq!(got, v);
             prop_assert_eq!(n, buf.len());
             prop_assert_eq!(n, uvarint_len(v));
-        }
-
-        /// The slicing kernel against the bit-at-a-time reference: every
-        /// window of 0..=300 bytes — up to eighteen 16-byte steps, then
-        /// every combination of 8-byte and 1-byte tails — at a drawn
-        /// alignment.
-        #[test]
-        fn crc32_matches_bitwise_reference(
-            data in proptest::collection::vec(any::<u8>(), 332..333),
-            offset in 0usize..32,
-        ) {
-            for len in 0..=300 {
-                let window = &data[offset..offset + len];
-                prop_assert_eq!(crc32(window), crc32_bitwise(window), "len {}", len);
-            }
         }
 
         /// Fast paths against the plain loop at every 2^(7k) boundary —
