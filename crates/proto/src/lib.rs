@@ -1,4 +1,4 @@
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 //! # flexran-proto
 //!
 //! The FlexRAN protocol: the southbound control channel between the master

@@ -52,8 +52,9 @@ impl WireType {
 /// byte-at-a-time table; `CRC32_TABLES[k][b]` is the CRC of byte `b`
 /// followed by `k` zero bytes, which lets [`crc32`] fold sixteen input
 /// bytes per step with sixteen independent loads instead of sixteen
-/// dependent ones.
-const CRC32_TABLES: [[u32; 256]; 16] = {
+/// dependent ones. A `static`, not a `const`: an unoptimised build would
+/// otherwise copy the 16 KiB table at every lookup.
+static CRC32_TABLES: [[u32; 256]; 16] = {
     let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
@@ -107,12 +108,9 @@ fn crc32_fold8(v: u64, trailing: usize) -> u32 {
         ^ crc32_lut(trailing, v >> 56)
 }
 
-/// CRC-32 (IEEE) of `data`. Used as the envelope integrity check: unlike
-/// a plain sum, CRC-32 is guaranteed to detect every single-bit error and
-/// every burst error up to 32 bits — the failure modes a corrupted
-/// control channel actually produces.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
+/// The portable kernel: feed `data` into the CRC register `crc` (the
+/// running value, not yet inverted at the end), sixteen bytes per step.
+fn crc32_slicing(mut crc: u32, data: &[u8]) -> u32 {
     // lint:alloc-free-callee `slice::as_chunks` only splits the borrow
     let (words, tail) = data.as_chunks::<8>();
     // lint:alloc-free-callee `slice::as_chunks` only splits the borrow
@@ -127,7 +125,221 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in tail {
         crc = (crc >> 8) ^ crc32_lut(0, (crc ^ b as u32) as u64);
     }
-    !crc
+    crc
+}
+
+/// Inputs from this length on go to the carry-less-multiply kernel; its
+/// setup and final reduction cost more than slicing saves below it.
+#[cfg(target_arch = "x86_64")]
+const CLMUL_MIN_LEN: usize = 128;
+
+/// CRC-32 (IEEE) of `data`. Used as the envelope integrity check: unlike
+/// a plain sum, CRC-32 is guaranteed to detect every single-bit error and
+/// every burst error up to 32 bits — the failure modes a corrupted
+/// control channel actually produces.
+///
+/// On x86-64 hosts with `pclmulqdq` and `sse4.1`, inputs of
+/// [`CLMUL_MIN_LEN`] bytes or more are folded 64 bytes per step with
+/// carry-less multiplies ([`clmul`]); everything else — other targets,
+/// older CPUs, short inputs and the last 15 bytes — goes through the
+/// slicing-by-16 tables. Both compute the same function.
+pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    // lint:alloc-free-callee a constant `false` outside tests
+    if data.len() >= CLMUL_MIN_LEN && !portable_crc_forced() {
+        if let Some(crc) = clmul_dispatch::crc32_update(!0, data) {
+            return !crc;
+        }
+    }
+    !crc32_slicing(!0, data)
+}
+
+#[cfg(test)]
+thread_local! {
+    static FORCE_PORTABLE_CRC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Route this thread's [`crc32`] calls to the slicing kernel while `f`
+/// runs, so a host with CLMUL tests the fallback too.
+#[cfg(test)]
+pub(crate) fn with_portable_crc<R>(f: impl FnOnce() -> R) -> R {
+    FORCE_PORTABLE_CRC.with(|c| c.set(true));
+    let out = f();
+    FORCE_PORTABLE_CRC.with(|c| c.set(false));
+    out
+}
+
+#[cfg(all(test, target_arch = "x86_64"))]
+fn portable_crc_forced() -> bool {
+    FORCE_PORTABLE_CRC.with(|c| c.get())
+}
+
+#[cfg(all(not(test), target_arch = "x86_64"))]
+#[inline(always)]
+fn portable_crc_forced() -> bool {
+    false
+}
+
+/// The crate's one exception to `deny(unsafe_code)`: calling the
+/// carry-less-multiply kernel, a `#[target_feature]` function, from code
+/// compiled for the baseline target. The kernel itself is safe code.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul_dispatch {
+    /// [`super::clmul::crc32_update`], if this CPU can run it.
+    #[inline]
+    pub(super) fn crc32_update(crc: u32, data: &[u8]) -> Option<u32> {
+        if !(std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1"))
+        {
+            return None;
+        }
+        // SAFETY: the kernel enables exactly `pclmulqdq` and `sse4.1`, and
+        // both were detected on the running CPU just above.
+        Some(unsafe { super::clmul::crc32_update(crc, data) }) // lint:alloc-free-callee
+    }
+}
+
+/// CRC-32 by carry-less multiplication: Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+/// (Intel, 2009), in its bit-reflected form. Four 128-bit lanes fold
+/// 64 input bytes per step, the lanes fold into one, that one folds in
+/// any further 16-byte blocks, and a Barrett reduction takes the last
+/// 128 bits to the 32-bit register. Every load is `u64::from_le_bytes`,
+/// so the module needs no pointer and no `unsafe`.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// The IEEE generator `P(x)`, normal bit order, with its `x^32` term.
+    const POLY: u64 = 0x1_04C1_1DB7;
+
+    /// The 33-bit value `v`, bit-reflected.
+    const fn reflect33(v: u64) -> u64 {
+        v.reverse_bits() >> 31
+    }
+
+    /// `x^n mod P(x)`, bit-reflected, as the 33-bit multiplier of a fold
+    /// across `n - 32` bits.
+    const fn x_pow_mod(n: u32) -> i64 {
+        let mut r: u64 = 1;
+        let mut i = 0;
+        while i < n {
+            r <<= 1;
+            if r & (1 << 32) != 0 {
+                r ^= POLY;
+            }
+            i += 1;
+        }
+        reflect33(r) as i64
+    }
+
+    /// `floor(x^64 / P(x))`, bit-reflected: Barrett's `µ`.
+    const fn barrett_mu() -> i64 {
+        let (mut rem, mut q): (u128, u64) = (1 << 64, 0);
+        let mut shift = 32;
+        loop {
+            if rem & (1u128 << (shift + 32)) != 0 {
+                rem ^= (POLY as u128) << shift;
+                q |= 1 << shift;
+            }
+            if shift == 0 {
+                break;
+            }
+            shift -= 1;
+        }
+        reflect33(q) as i64
+    }
+
+    /// Fold across 512 bits (four lanes) and across 128 bits (one).
+    pub(super) const FOLD_512: (i64, i64) = (x_pow_mod(512 + 32), x_pow_mod(512 - 32));
+    pub(super) const FOLD_128: (i64, i64) = (x_pow_mod(128 + 32), x_pow_mod(128 - 32));
+    /// Fold the high 32 of the last 64 bits into the low 32.
+    pub(super) const FOLD_64: i64 = x_pow_mod(64);
+    /// Barrett's `µ` and the reflected generator.
+    pub(super) const BARRETT: (i64, i64) = (barrett_mu(), reflect33(POLY) as i64);
+
+    /// Sixteen input bytes as one little-endian 128-bit lane, loaded as
+    /// two `u64` halves.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        let v = u128::from_le_bytes(*block);
+        _mm_set_epi64x((v >> 64) as i64, v as i64) // lint:alloc-free-callee
+    }
+
+    /// `acc` carried 128 bits further (`k` = the two halves' fold
+    /// constants), plus `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        // lint:alloc-free-callee
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
+        // lint:alloc-free-callee
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi) // lint:alloc-free-callee
+    }
+
+    /// Feed `data` (at least 64 bytes) into the CRC register `crc`: the
+    /// whole 16-byte blocks here, the rest through the slicing tables.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+        // lint:alloc-free-callee `slice::as_chunks` only splits the borrow
+        let (blocks, tail) = data.as_chunks::<16>();
+        // lint:alloc-free-callee `slice::as_chunks` only splits the borrow
+        let (quads, singles) = blocks.as_chunks::<4>();
+        let Some(([b0, b1, b2, b3], quads)) = quads.split_first() else {
+            return super::crc32_slicing(crc, data);
+        };
+        // lint:alloc-free-callee
+        let k512 = _mm_set_epi64x(FOLD_512.1, FOLD_512.0);
+        // lint:alloc-free-callee
+        let mut x0 = _mm_xor_si128(load(b0), _mm_cvtsi32_si128(crc as i32));
+        let (mut x1, mut x2, mut x3) = (load(b1), load(b2), load(b3));
+        for [b0, b1, b2, b3] in quads {
+            x0 = fold(x0, load(b0), k512);
+            x1 = fold(x1, load(b1), k512);
+            x2 = fold(x2, load(b2), k512);
+            x3 = fold(x3, load(b3), k512);
+        }
+        // lint:alloc-free-callee
+        let k128 = _mm_set_epi64x(FOLD_128.1, FOLD_128.0);
+        let mut x = fold(fold(fold(x0, x1, k128), x2, k128), x3, k128);
+        for b in singles {
+            x = fold(x, load(b), k128);
+        }
+
+        // 128 -> 64 bits: the low half carried across 64 bits into the
+        // high half.
+        // lint:alloc-free-callee
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, k128),
+            _mm_srli_si128::<8>(x),
+        );
+        // 64 -> 32 (+32): the low 32 bits carried across 32 more.
+        // lint:alloc-free-callee
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        // lint:alloc-free-callee
+        let k64 = _mm_set_epi64x(0, FOLD_64);
+        // lint:alloc-free-callee
+        let folded = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k64);
+        // lint:alloc-free-callee
+        let x = _mm_xor_si128(folded, _mm_srli_si128::<4>(x));
+        // Barrett: T1 = (R mod x^32)·µ, T2 = (T1 mod x^32)·P, and the
+        // register is the high word of R ^ T2.
+        // lint:alloc-free-callee
+        let pu = _mm_set_epi64x(BARRETT.0, BARRETT.1);
+        // lint:alloc-free-callee
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pu);
+        // lint:alloc-free-callee
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pu);
+        // lint:alloc-free-callee
+        let crc = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+        super::crc32_slicing(crc, tail)
+    }
 }
 
 /// Append a base-128 varint. One- and two-byte values — every tag, most
@@ -713,12 +925,49 @@ mod tests {
         }
     }
 
+    /// What every kernel [`crc32`] can route `data` to makes of it: the
+    /// dispatched call, the forced fallback and, on a CLMUL host, the
+    /// carry-less-multiply kernel called directly (so lengths the
+    /// dispatcher keeps on the tables are folded too).
+    fn crc32_kernels(data: &[u8]) -> Vec<(&'static str, u32)> {
+        let mut out = vec![
+            ("dispatched", crc32(data)),
+            ("slicing", with_portable_crc(|| crc32(data))),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(crc) = clmul_dispatch::crc32_update(!0, data) {
+            out.push(("clmul", !crc));
+        }
+        out
+    }
+
     #[test]
     fn crc32_known_answers() {
-        // The CRC catalogue's check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        // The CRC catalogue's check value for CRC-32/ISO-HDLC, and two
+        // long inputs (values from zlib) that reach the folding kernel.
+        let ramp: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
+        for (data, want) in [
+            (&b"123456789"[..], 0xCBF4_3926),
+            (&b""[..], 0),
+            (&[0u8; 4096][..], 0xC71C_0011),
+            (&ramp[..], 0xA291_2082),
+        ] {
+            for (kernel, got) in crc32_kernels(data) {
+                assert_eq!(got, want, "{kernel}, {} bytes", data.len());
+            }
+            assert_eq!(crc32_bitwise(data), want);
+        }
+    }
+
+    /// The fold constants derived from the generator are the published
+    /// ones (Gopal et al.; the Linux and zlib kernels use the same).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn clmul_constants_match_the_published_values() {
+        assert_eq!(clmul::FOLD_512, (0x1_5444_2BD4, 0x1_C6E4_1596));
+        assert_eq!(clmul::FOLD_128, (0x1_7519_97D0, 0x0_CCAA_009E));
+        assert_eq!(clmul::FOLD_64, 0x1_63CD_6124);
+        assert_eq!(clmul::BARRETT, (0x1_F701_1641, 0x1_DB71_0641));
     }
 
     #[test]
@@ -850,14 +1099,16 @@ mod tests {
         assert!(r.next_field().is_err());
     }
 
-    /// `crc32` against the bit-at-a-time reference on every window
+    /// Every kernel against the bit-at-a-time reference on every window
     /// `data[offset..offset + len]`, `len` in `0..=CRC_WINDOW`: every
     /// count of 16-byte steps and every tail, at the drawn alignment.
     fn check_crc32_windows(data: &[u8], offset: usize) {
         let window = &data[offset..offset + CRC_WINDOW];
         let want = crc32_bitwise_prefixes(window);
         for (len, want) in want.iter().enumerate() {
-            assert_eq!(crc32(&window[..len]), *want, "len {len} at offset {offset}");
+            for (kernel, got) in crc32_kernels(&window[..len]) {
+                assert_eq!(got, *want, "{kernel}, len {len} at offset {offset}");
+            }
         }
     }
 
@@ -882,7 +1133,10 @@ mod tests {
         fn crc32_matches_bitwise_on_arbitrary_bytes(
             data in proptest::collection::vec(any::<u8>(), 0..8192),
         ) {
-            prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+            let want = crc32_bitwise(&data);
+            for (kernel, got) in crc32_kernels(&data) {
+                prop_assert_eq!(got, want, "{}", kernel);
+            }
         }
     }
 
@@ -910,7 +1164,10 @@ mod tests {
         fn deep_crc32_matches_bitwise_on_arbitrary_bytes(
             data in proptest::collection::vec(any::<u8>(), 0..8192),
         ) {
-            prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+            let want = crc32_bitwise(&data);
+            for (kernel, got) in crc32_kernels(&data) {
+                prop_assert_eq!(got, want, "{}", kernel);
+            }
         }
     }
 
