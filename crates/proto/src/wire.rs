@@ -21,7 +21,7 @@
 //! out-of-order, duplicated and unknown fields, non-canonical tags —
 //! with identical results.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use flexran_types::{FlexError, Result};
 
 /// Protobuf wire types.
@@ -315,10 +315,9 @@ mod clmul {
         // 128 -> 64 bits: the low half carried across 64 bits into the
         // high half.
         // lint:alloc-free-callee
-        let x = _mm_xor_si128(
-            _mm_clmulepi64_si128::<0x10>(x, k128),
-            _mm_srli_si128::<8>(x),
-        );
+        let carried = _mm_clmulepi64_si128::<0x10>(x, k128);
+        // lint:alloc-free-callee
+        let x = _mm_xor_si128(carried, _mm_srli_si128::<8>(x));
         // 64 -> 32 (+32): the low 32 bits carried across 32 more.
         // lint:alloc-free-callee
         let low32 = _mm_set_epi32(0, 0, 0, -1);
@@ -342,35 +341,42 @@ mod clmul {
     }
 }
 
-/// Append a base-128 varint. One- and two-byte values — every tag, most
-/// lengths and report fields — are written inline; longer ones are
-/// assembled on the stack and appended with a single copy.
-#[inline]
-pub fn put_uvarint(buf: &mut BytesMut, v: u64) {
-    if v < 0x80 {
-        buf.put_u8(v as u8);
-    } else if v < 0x4000 {
-        buf.put_slice(&[v as u8 | 0x80, (v >> 7) as u8]);
-    } else {
-        put_uvarint_multibyte(buf, v);
+/// Longest varint: a `u64` in 7-bit groups.
+const MAX_VARINT: usize = 10;
+
+/// Write `v` as a varint at the front of `out`; returns the bytes used.
+/// Callers hand in at least [`MAX_VARINT`] bytes (bytes past the end of
+/// a shorter `out` would be dropped). One- and two-byte values — every
+/// tag, most lengths and report fields — are stored directly.
+#[inline(always)]
+fn write_varint(out: &mut [u8], v: u64) -> usize {
+    match out {
+        [b0, ..] if v < 0x80 => {
+            *b0 = v as u8;
+            1
+        }
+        [b0, b1, ..] if v < 0x4000 => {
+            *b0 = v as u8 | 0x80;
+            *b1 = (v >> 7) as u8;
+            2
+        }
+        _ => write_varint_long(out, v),
     }
 }
 
-fn put_uvarint_multibyte(buf: &mut BytesMut, mut v: u64) {
-    let mut bytes = [0u8; 10];
+/// [`write_varint`] for values of any width.
+fn write_varint_long(out: &mut [u8], mut v: u64) -> usize {
     let mut n = 0;
-    for slot in bytes.iter_mut() {
+    for slot in out.iter_mut() {
         n += 1;
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            *slot = byte;
+        if v < 0x80 {
+            *slot = v as u8;
             break;
         }
-        *slot = byte | 0x80;
+        *slot = v as u8 | 0x80;
+        v >>= 7;
     }
-    // lint:allow(panic): n counts loop iterations over a 10-byte array.
-    buf.put_slice(&bytes[..n]);
+    n
 }
 
 /// Read a base-128 varint, returning `(value, bytes_consumed)`.
@@ -413,46 +419,146 @@ pub fn zigzag_decode(v: u64) -> i64 {
 
 /// Number of bytes `v` occupies as a varint (size estimation for tests
 /// and overhead accounting).
+#[inline(always)]
 pub fn uvarint_len(v: u64) -> usize {
-    if v == 0 {
-        1
-    } else {
-        (64 - v.leading_zeros() as usize).div_ceil(7)
-    }
+    // Significant bits (at least one, for 0) in 7-bit groups.
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
+
+/// Nested-message field numbers below this remember the width of their
+/// last length prefix (see [`WireWriter::message`]).
+const WIDTH_HINTS: usize = 64;
+
+/// How far past the immediate need [`WireWriter`] zero-fills capacity
+/// the allocation already has: enough for a whole report, and bounded,
+/// because a byte log lends the writer a buffer with its own, possibly
+/// large, spare capacity.
+const GROW_AHEAD: usize = 4096;
 
 /// Streaming writer producing protobuf-compatible bytes.
 ///
 /// Fields with default values (0, empty) are *skipped*, exactly as
 /// protobuf serializers do — this is what gives the FlexRAN protocol its
 /// compact statistics reports.
-#[derive(Debug, Default)]
+///
+/// The writer is a cursor over an initialised buffer that it grows ahead
+/// of the cursor: `buf[..pos]` is the encoding so far, `buf[pos..]`
+/// headroom. A scalar field — its tag and a varint of up to ten bytes —
+/// is written into a fixed-size window at the cursor after one headroom
+/// check, and a packed array after one check sized for the whole array;
+/// no byte pays a capacity check of its own. The bytes are canonical
+/// protobuf either way.
+#[derive(Debug)]
 pub struct WireWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    pos: usize,
+    /// Length-prefix width last used per nested-message field number.
+    widths: [u8; WIDTH_HINTS],
+}
+
+impl Default for WireWriter {
+    fn default() -> Self {
+        WireWriter::from_vec(Vec::new())
+    }
 }
 
 impl WireWriter {
     pub fn new() -> Self {
-        WireWriter {
-            buf: BytesMut::with_capacity(64),
-        }
+        // lint:allow(alloc-reach) a fresh writer's buffer; per-TTI paths keep theirs (reached through the name-based `.encode` edge to `FlexranMessage::encode`)
+        WireWriter::from_vec(Vec::with_capacity(64))
     }
 
     /// A writer that appends to `buf` — with [`Self::into_vec`], how a
     /// byte log (the RIB journal) has records encoded in place instead of
     /// encoded elsewhere and copied in.
     pub fn from_vec(buf: Vec<u8>) -> Self {
-        WireWriter { buf: buf.into() }
+        WireWriter {
+            pos: buf.len(),
+            buf,
+            widths: [1; WIDTH_HINTS],
+        }
     }
 
     /// Hand the buffer back (see [`Self::from_vec`]).
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf.into()
+    pub fn into_vec(mut self) -> Vec<u8> {
+        self.buf.truncate(self.pos);
+        self.buf
     }
 
-    #[inline]
-    fn tag(&mut self, field: u32, wt: WireType) {
-        put_uvarint(&mut self.buf, ((field as u64) << 3) | wt as u64);
+    /// Hand out the bytes written so far and continue, cleared, in
+    /// `next` — how a transport moves each encoded message into its queue
+    /// whole while the writer keeps its length-prefix widths.
+    pub fn take_vec(&mut self, mut next: Vec<u8>) -> Vec<u8> {
+        next.clear();
+        let mut out = std::mem::replace(&mut self.buf, next);
+        out.truncate(self.pos);
+        self.pos = 0;
+        out
+    }
+
+    /// Zero-fill headroom so that at least `n` bytes follow the cursor.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, n: usize) {
+        let need = self.pos + n;
+        let fill = need
+            .saturating_add(GROW_AHEAD)
+            .min(self.buf.capacity())
+            .max(need);
+        self.buf.resize(fill, 0);
+    }
+
+    /// Run `write` on the `N` bytes at the cursor, growing the headroom
+    /// first if it is short, and advance the cursor by what it returns
+    /// (at most `N`).
+    #[inline(always)]
+    fn put<const N: usize>(&mut self, write: impl FnOnce(&mut [u8; N]) -> usize) {
+        loop {
+            if let Some(window) = self
+                .buf
+                .get_mut(self.pos..)
+                // lint:alloc-free-callee `first_chunk_mut` only narrows the borrow
+                .and_then(|rest| rest.first_chunk_mut::<N>())
+            {
+                // lint:alloc-free-callee the closures below only store bytes
+                self.pos += write(window);
+                return;
+            }
+            self.grow(N);
+        }
+    }
+
+    /// Tag `key` followed by the varint `v`, in one window.
+    #[inline(always)]
+    fn key_varint(&mut self, key: u64, v: u64) {
+        self.put::<{ 2 * MAX_VARINT }>(|w| {
+            let n = write_varint(w, key);
+            n + write_varint(w.get_mut(n..).unwrap_or_default(), v)
+        });
+    }
+
+    /// Tag `key` followed by the fixed-width bytes `v`, in one window.
+    #[inline(always)]
+    fn key_fixed<const N: usize>(&mut self, key: u64, v: [u8; N]) {
+        self.put::<{ MAX_VARINT + 8 }>(|w| {
+            let n = write_varint(w, key);
+            if let Some(dst) = w.get_mut(n..n + N) {
+                dst.copy_from_slice(&v);
+            }
+            n + N
+        });
+    }
+
+    /// The tag of length-delimited field `field` and the prefix `len`,
+    /// with headroom for the `len`-byte payload and `slack` bytes more
+    /// checked once for all of them.
+    #[inline(always)]
+    fn key_length(&mut self, field: u32, len: usize, slack: usize) {
+        let headroom = 2 * MAX_VARINT + len + slack;
+        if self.buf.len() < self.pos + headroom {
+            self.grow(headroom);
+        }
+        self.key_varint(key(field, WireType::LengthDelimited), len as u64);
     }
 
     /// `uint32`/`uint64`/`bool`/enum field (skipped when 0).
@@ -461,18 +567,13 @@ impl WireWriter {
         if v == 0 {
             return;
         }
-        self.tag(field, WireType::Varint);
-        put_uvarint(&mut self.buf, v);
+        self.key_varint(key(field, WireType::Varint), v);
     }
 
     /// `sint64` field, ZigZag encoded (skipped when 0).
     #[inline]
     pub fn sint(&mut self, field: u32, v: i64) {
-        if v == 0 {
-            return;
-        }
-        self.tag(field, WireType::Varint);
-        put_uvarint(&mut self.buf, zigzag_encode(v));
+        self.uint(field, zigzag_encode(v));
     }
 
     /// `double` field (skipped when exactly 0.0).
@@ -480,8 +581,7 @@ impl WireWriter {
         if v == 0.0 {
             return;
         }
-        self.tag(field, WireType::Fixed64);
-        self.buf.put_u64_le(v.to_bits());
+        self.key_fixed(key(field, WireType::Fixed64), v.to_bits().to_le_bytes());
     }
 
     /// `fixed32` field (skipped when 0).
@@ -489,26 +589,19 @@ impl WireWriter {
         if v == 0 {
             return;
         }
-        self.tag(field, WireType::Fixed32);
-        self.buf.put_u32_le(v);
+        self.fixed32_always(field, v);
     }
 
     /// Like [`WireWriter::fixed32`] but always emitted — for fields whose
     /// presence is structural (the envelope integrity trailer must occupy
     /// its five bytes even when the checksum happens to be 0).
     pub fn fixed32_always(&mut self, field: u32, v: u32) {
-        self.tag(field, WireType::Fixed32);
-        self.buf.put_u32_le(v);
+        self.key_fixed(key(field, WireType::Fixed32), v.to_le_bytes());
     }
 
     /// `string` field (skipped when empty).
     pub fn string(&mut self, field: u32, s: &str) {
-        if s.is_empty() {
-            return;
-        }
-        self.tag(field, WireType::LengthDelimited);
-        put_uvarint(&mut self.buf, s.len() as u64);
-        self.buf.put_slice(s.as_bytes());
+        self.bytes_field(field, s.as_bytes());
     }
 
     /// `bytes` field (skipped when empty).
@@ -516,93 +609,155 @@ impl WireWriter {
         if b.is_empty() {
             return;
         }
-        self.tag(field, WireType::LengthDelimited);
-        put_uvarint(&mut self.buf, b.len() as u64);
-        self.buf.put_slice(b);
+        self.key_length(field, b.len(), 0);
+        if let Some(dst) = self.buf.get_mut(self.pos..self.pos + b.len()) {
+            dst.copy_from_slice(b);
+            self.pos += b.len();
+        }
     }
 
     /// `repeated uint` as a packed field (protobuf packed encoding —
-    /// what makes per-subband CQI arrays cheap on the wire). Written in
-    /// one pass behind a patched length prefix, like [`Self::message`].
+    /// what makes per-subband CQI arrays cheap on the wire). The payload
+    /// length is known before a byte is written, so the prefix is written
+    /// once and the headroom checked once for the whole array. When every
+    /// value has the same varint width — a report's arrays hold one kind
+    /// of quantity each — that width times the count is the length and
+    /// each value has a fixed slot: one-byte values are copied across as
+    /// one slice, two-byte ones as fixed pairs.
+    #[inline]
     pub fn packed_uints<T: Copy + Into<u64>>(&mut self, field: u32, vs: &[T]) {
         if vs.is_empty() {
             return;
         }
-        self.tag(field, WireType::LengthDelimited);
-        let len_pos = self.open_length();
-        for v in vs {
-            put_uvarint(&mut self.buf, (*v).into());
+        let all = vs.iter().fold(0, |acc, v| acc | (*v).into());
+        let len = if all < 0x80 {
+            vs.len()
+        } else if all < 0x4000 {
+            vs.len() + vs.iter().filter(|v| (**v).into() >= 0x80).count()
+        } else {
+            vs.iter().map(|v| uvarint_len((*v).into())).sum()
+        };
+        let width = if len == vs.len() {
+            1
+        } else if len == 2 * vs.len() && all < 0x4000 {
+            2
+        } else {
+            0
+        };
+        // A varint window may reach past the payload.
+        self.key_length(field, len, MAX_VARINT);
+        let Some(dst) = self.buf.get_mut(self.pos..self.pos + len + MAX_VARINT) else {
+            return;
+        };
+        match width {
+            1 => {
+                for (d, v) in dst.iter_mut().zip(vs) {
+                    *d = (*v).into() as u8;
+                }
+            }
+            2 => {
+                // lint:alloc-free-callee `slice::as_chunks_mut` only splits the borrow
+                let (pairs, _) = dst.as_chunks_mut::<2>();
+                for (d, v) in pairs.iter_mut().zip(vs) {
+                    let v: u64 = (*v).into();
+                    *d = [v as u8 | 0x80, (v >> 7) as u8];
+                }
+            }
+            _ => {
+                let mut at = 0;
+                for v in vs {
+                    at += write_varint(dst.get_mut(at..).unwrap_or_default(), (*v).into());
+                }
+            }
         }
-        self.close_length(len_pos);
+        self.pos += len;
     }
 
     /// Nested message field: the closure writes the submessage.
     ///
     /// Encodes in place: the submessage is written directly into this
-    /// writer's buffer after a one-byte length placeholder, which is
-    /// patched (shifting the payload only when the length needs a
-    /// multi-byte varint, i.e. ≥ 128 bytes). No per-submessage
-    /// allocation, and the bytes stay canonical protobuf — sizes still
-    /// match a real implementation, which Fig. 7 depends on.
+    /// writer's buffer behind a length prefix reserved at the width this
+    /// field number's prefix had last time (one byte at first), which is
+    /// then filled in. Only when the payload's length needs another
+    /// width is the payload shifted — so a writer that encodes messages
+    /// of a steady shape never shifts one. No per-submessage allocation,
+    /// and the bytes stay canonical protobuf — sizes still match a real
+    /// implementation, which Fig. 7 depends on.
     pub fn message<F: FnOnce(&mut WireWriter)>(&mut self, field: u32, f: F) {
-        self.tag(field, WireType::LengthDelimited);
-        let len_pos = self.open_length();
+        let width = self.width_hint(field);
+        let tag = key(field, WireType::LengthDelimited);
+        self.put::<{ 2 * MAX_VARINT }>(|w| write_varint(w, tag) + width);
+        let start = self.pos;
         // The closure body is analyzed at its definition site
         // (closures-as-edges), not through this `FnOnce`. lint:alloc-free-callee
         f(self);
-        self.close_length(len_pos);
+        self.close_length(field, start - width, width);
     }
 
-    /// Reserve a one-byte length prefix; returns its position.
-    fn open_length(&mut self) -> usize {
-        let len_pos = self.buf.len();
-        self.buf.put_u8(0);
-        len_pos
+    /// The prefix width to reserve for nested field `field`.
+    #[inline(always)]
+    fn width_hint(&self, field: u32) -> usize {
+        self.widths.get(field as usize).map_or(1, |w| *w as usize)
     }
 
-    /// Patch the prefix opened at `len_pos` with the length of everything
-    /// written since.
-    fn close_length(&mut self, len_pos: usize) {
-        let payload = self.buf.len() - len_pos - 1;
-        let len_bytes = uvarint_len(payload as u64);
-        if len_bytes > 1 {
-            // Shift the payload right to make room for the longer varint.
-            let end = self.buf.len();
-            self.buf.resize(end + len_bytes - 1, 0);
-            self.buf.copy_within(len_pos + 1..end, len_pos + len_bytes);
+    /// Fill in the `width`-byte prefix at `len_pos` with the length of
+    /// everything written since, moving the payload if its length needs
+    /// another width, and remember that width for `field`.
+    fn close_length(&mut self, field: u32, len_pos: usize, width: usize) {
+        let start = len_pos + width;
+        let payload = self.pos - start;
+        let need = uvarint_len(payload as u64);
+        if need != width {
+            if need > width && self.buf.len() < self.pos + need - width {
+                self.grow(need - width);
+            }
+            self.buf.copy_within(start..self.pos, len_pos + need);
+            self.pos = self.pos + need - width;
+            if let Some(w) = self.widths.get_mut(field as usize) {
+                *w = need as u8;
+            }
         }
-        let mut v = payload as u64;
-        for slot in self.buf.iter_mut().skip(len_pos).take(len_bytes) {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            *slot = if v == 0 { byte } else { byte | 0x80 };
+        if let Some(prefix) = self.buf.get_mut(len_pos..len_pos + need) {
+            let mut v = payload as u64;
+            for slot in prefix.iter_mut() {
+                let byte = (v & 0x7F) as u8;
+                v >>= 7;
+                *slot = if v == 0 { byte } else { byte | 0x80 };
+            }
         }
     }
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.pos
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.pos == 0
     }
 
     /// The encoded bytes so far (borrowing accessor for pooled writers
     /// that are cleared and reused instead of consumed).
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf
+        self.buf.get(..self.pos).unwrap_or_default()
     }
 
     /// Reset for reuse, keeping the underlying allocation.
     pub fn clear(&mut self) {
-        self.buf.clear();
+        self.pos = 0;
     }
 
     /// Finish, yielding the encoded bytes.
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+    pub fn finish(mut self) -> Bytes {
+        self.buf.truncate(self.pos);
+        Bytes::from(self.buf)
     }
+}
+
+/// The tag of field `field` with wire type `wt`.
+#[inline(always)]
+fn key(field: u32, wt: WireType) -> u64 {
+    ((field as u64) << 3) | wt as u64
 }
 
 /// A decoded field value.
@@ -887,16 +1042,14 @@ mod tests {
             u32::MAX as u64,
             u64::MAX,
         ] {
-            let mut buf = BytesMut::new();
-            put_uvarint(&mut buf, v);
+            let buf = varint(v);
             let (got, n) = get_uvarint(&buf).unwrap();
             assert_eq!(got, v);
             assert_eq!(n, buf.len());
             assert_eq!(n, uvarint_len(v));
         }
         // Protobuf's canonical example: 300 = [0xAC, 0x02].
-        let mut buf = BytesMut::new();
-        put_uvarint(&mut buf, 300);
+        let buf = varint(300);
         assert_eq!(&buf[..], &[0xAC, 0x02]);
     }
 
@@ -913,6 +1066,13 @@ mod tests {
     }
 
     /// The varint writer before the one- and two-byte fast paths.
+    /// `v` through the writer's varint kernel.
+    fn varint(v: u64) -> Vec<u8> {
+        let mut out = [0u8; MAX_VARINT];
+        let n = write_varint(&mut out, v);
+        out[..n].to_vec()
+    }
+
     fn put_uvarint_loop(buf: &mut Vec<u8>, mut v: u64) {
         loop {
             let byte = (v & 0x7F) as u8;
@@ -1174,8 +1334,7 @@ mod tests {
     proptest! {
         #[test]
         fn uvarint_roundtrip(v in any::<u64>()) {
-            let mut buf = BytesMut::new();
-            put_uvarint(&mut buf, v);
+            let buf = varint(v);
             let (got, n) = get_uvarint(&buf).unwrap();
             prop_assert_eq!(got, v);
             prop_assert_eq!(n, buf.len());
@@ -1190,8 +1349,7 @@ mod tests {
             for v in [edge.wrapping_sub(delta + 1), edge.wrapping_add(delta)] {
                 let mut want = Vec::new();
                 put_uvarint_loop(&mut want, v);
-                let mut got = BytesMut::new();
-                put_uvarint(&mut got, v);
+                let got = varint(v);
                 prop_assert_eq!(&got[..], &want[..]);
                 // Decoding must not look past the terminator byte.
                 want.push(junk);

@@ -588,8 +588,7 @@ impl Transport for SimTransport {
             self.scratch.len() as u64 + FRAME_OVERHEAD_BYTES,
         );
         let mut out = self.out.lock();
-        let next = WireWriter::from_vec(out.spare.pop().unwrap_or_default());
-        let payload = std::mem::replace(&mut self.scratch, next).into_vec();
+        let payload = self.scratch.take_vec(out.spare.pop().unwrap_or_default());
         out.transmit(self.clock.now(), payload, msg.category());
         Ok(())
     }
