@@ -8,6 +8,12 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use flexran_types::{FlexError, Result};
 
+use crate::messages::{FlexranMessage, Header};
+use crate::wire::WireWriter;
+
+/// The big-endian length in front of every frame.
+const FRAME_PREFIX_BYTES: usize = 4;
+
 /// Hard cap on a single frame: a full statistics report for hundreds of
 /// UEs is tens of kilobytes; anything near this limit is corruption.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
@@ -44,6 +50,27 @@ pub fn encode_frame_into(payload: &[u8], buf: &mut BytesMut) -> Result<()> {
     buf.reserve(4 + payload.len());
     buf.put_u32(payload.len() as u32);
     buf.put_slice(payload);
+    Ok(())
+}
+
+/// Encode one envelope into `w` (cleared first) as a whole frame: the
+/// envelope is written behind a reserved 4-byte prefix that is filled in
+/// once its length is known — the same bytes as [`encode_frame_into`]
+/// over [`FlexranMessage::encode`], without the payload copy or the
+/// second buffer.
+pub fn encode_message_frame_into(
+    msg: &FlexranMessage,
+    header: Header,
+    w: &mut WireWriter,
+) -> Result<()> {
+    w.clear();
+    w.put_bytes(&[0; FRAME_PREFIX_BYTES]);
+    msg.encode_append(header, w);
+    let len = w.len() - FRAME_PREFIX_BYTES;
+    if len > MAX_FRAME_BYTES {
+        return Err(oversize(len));
+    }
+    w.patch(0, (len as u32).to_be_bytes());
     Ok(())
 }
 
@@ -370,5 +397,42 @@ mod tests {
             prop_assert_eq!(out, frames);
             prop_assert_eq!(d.buffered(), 0);
         }
+    }
+
+    proptest! {
+        /// A message framed in place is the framed encoding of the
+        /// message, through one writer reused across sizes on both sides
+        /// of the 127/128 and 16 383/16 384 length edges.
+        #[test]
+        fn message_frames_match_framed_encodings(
+            lens in proptest::collection::vec(
+                prop_oneof![0usize..300, 16_300usize..16_500],
+                1..6,
+            ),
+            xid in any::<u32>(),
+        ) {
+            let mut w = WireWriter::new();
+            for len in lens {
+                let msg = FlexranMessage::EchoRequest(crate::messages::Echo {
+                    timestamp_us: len as u64,
+                    payload: vec![0xC3; len],
+                });
+                let header = Header::with_xid(xid);
+                encode_message_frame_into(&msg, header, &mut w).unwrap();
+                let want = encode_frame(&msg.encode(header)).unwrap();
+                prop_assert_eq!(w.as_slice(), &want[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn oversize_message_frame_is_refused() {
+        let msg = FlexranMessage::EchoRequest(crate::messages::Echo {
+            timestamp_us: 1,
+            payload: vec![0; MAX_FRAME_BYTES],
+        });
+        let mut w = WireWriter::new();
+        let err = encode_message_frame_into(&msg, Header::default(), &mut w).unwrap_err();
+        assert_eq!(err.category(), "codec");
     }
 }

@@ -28,11 +28,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
 
-use bytes::BytesMut;
 use flexran_types::{FlexError, Result};
 
 use crate::category::ByteCounters;
-use crate::frame::{encode_frame_into, FrameDecoder};
+use crate::frame::{encode_message_frame_into, FrameDecoder};
 use crate::messages::{FlexranMessage, Header};
 use crate::wire::WireWriter;
 
@@ -163,10 +162,9 @@ pub struct TcpTransport {
     stream: TcpStream,
     decoder: FrameDecoder,
     read_buf: Vec<u8>,
-    /// Encode scratch, reused across sends.
+    /// Frame buffer, reused across sends: each envelope is encoded
+    /// straight behind its length prefix.
     scratch: WireWriter,
-    /// Framed-bytes scratch, reused across sends.
-    frame_buf: BytesMut,
     tx_counters: ByteCounters,
     rx_counters: ByteCounters,
     peer_closed: bool,
@@ -195,7 +193,6 @@ impl TcpTransport {
             decoder: FrameDecoder::new(),
             read_buf: vec![0u8; 64 * 1024],
             scratch: WireWriter::new(),
-            frame_buf: BytesMut::new(),
             tx_counters: ByteCounters::new(),
             rx_counters: ByteCounters::new(),
             peer_closed: false,
@@ -242,13 +239,13 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&mut self, header: Header, msg: &FlexranMessage) -> Result<()> {
-        msg.encode_into(header, &mut self.scratch);
-        encode_frame_into(self.scratch.as_slice(), &mut self.frame_buf)?;
+        encode_message_frame_into(msg, header, &mut self.scratch)?;
+        let frame = self.scratch.as_slice();
         let mut off = 0usize;
         let mut stalls = 0u64;
-        while off < self.frame_buf.len() {
+        while off < frame.len() {
             // lint:allow(panic) — `off < len` is the loop condition.
-            match self.stream.write(&self.frame_buf[off..]) {
+            match self.stream.write(&frame[off..]) {
                 Ok(0) => return Err(FlexError::Transport("socket closed mid-write".into())),
                 Ok(n) => {
                     off += n;
@@ -272,8 +269,7 @@ impl Transport for TcpTransport {
                 Err(e) => return Err(FlexError::Transport(format!("write: {e}"))),
             }
         }
-        self.tx_counters
-            .add(msg.category(), self.frame_buf.len() as u64);
+        self.tx_counters.add(msg.category(), frame.len() as u64);
         Ok(())
     }
 

@@ -610,10 +610,7 @@ impl WireWriter {
             return;
         }
         self.key_length(field, b.len(), 0);
-        if let Some(dst) = self.buf.get_mut(self.pos..self.pos + b.len()) {
-            dst.copy_from_slice(b);
-            self.pos += b.len();
-        }
+        self.put_bytes(b);
     }
 
     /// `repeated uint` as a packed field (protobuf packed encoding —
@@ -727,6 +724,24 @@ impl WireWriter {
         }
     }
 
+    /// Append `b` as it is, outside any field (a frame's length prefix).
+    pub(crate) fn put_bytes(&mut self, b: &[u8]) {
+        if self.buf.len() < self.pos + b.len() {
+            self.grow(b.len());
+        }
+        if let Some(dst) = self.buf.get_mut(self.pos..self.pos + b.len()) {
+            dst.copy_from_slice(b);
+            self.pos += b.len();
+        }
+    }
+
+    /// Overwrite the bytes at `at` with `b` (within what was written).
+    pub(crate) fn patch<const N: usize>(&mut self, at: usize, b: [u8; N]) {
+        if let Some(dst) = self.as_mut_slice().get_mut(at..at + N) {
+            dst.copy_from_slice(&b);
+        }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.pos
@@ -740,6 +755,10 @@ impl WireWriter {
     /// that are cleared and reused instead of consumed).
     pub fn as_slice(&self) -> &[u8] {
         self.buf.get(..self.pos).unwrap_or_default()
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u8] {
+        self.buf.get_mut(..self.pos).unwrap_or_default()
     }
 
     /// Reset for reuse, keeping the underlying allocation.
