@@ -477,6 +477,13 @@ fn assert_encodes_like_reference(w: &mut WireWriter, header: Header, msg: &Flexr
     let want = ref_encode(header, msg);
     msg.encode_into(header, w);
     assert_eq!(w.as_slice(), &want[..], "reused writer, {}", msg.kind());
+    // A transport moves the bytes out and continues in a recycled,
+    // dirty buffer of any length.
+    let recycled = vec![0xEE; want.len() % 97 * 41];
+    assert_eq!(w.take_vec(recycled), want, "taken, {}", msg.kind());
+    assert!(w.is_empty());
+    msg.encode_into(header, w);
+    assert_eq!(w.as_slice(), &want[..], "recycled buffer, {}", msg.kind());
     assert_eq!(
         &msg.encode(header)[..],
         &want[..],

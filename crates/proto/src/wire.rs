@@ -487,9 +487,10 @@ impl WireWriter {
 
     /// Hand out the bytes written so far and continue, cleared, in
     /// `next` — how a transport moves each encoded message into its queue
-    /// whole while the writer keeps its length-prefix widths.
-    pub fn take_vec(&mut self, mut next: Vec<u8>) -> Vec<u8> {
-        next.clear();
+    /// whole while the writer keeps its length-prefix widths. Whatever
+    /// `next` holds is overwritten as headroom, so a recycled buffer need
+    /// not be cleared (or zero-filled again).
+    pub fn take_vec(&mut self, next: Vec<u8>) -> Vec<u8> {
         let mut out = std::mem::replace(&mut self.buf, next);
         out.truncate(self.pos);
         self.pos = 0;

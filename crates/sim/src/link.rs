@@ -338,8 +338,8 @@ const SPARE_BUFFERS: usize = 8;
 struct Direction {
     config: LinkConfig,
     queue: VecDeque<InTransit>,
-    /// Buffers of delivered messages, cleared, awaiting reuse by the
-    /// sending endpoint (at most [`SPARE_BUFFERS`]).
+    /// Buffers of delivered messages, awaiting reuse as the sending
+    /// endpoint's encode buffer (at most [`SPARE_BUFFERS`]).
     spare: Vec<Vec<u8>>,
     /// Departure horizon for rate limiting.
     next_free: Tti,
@@ -468,10 +468,10 @@ impl Direction {
         }
     }
 
-    /// Take back the buffer of a delivered message.
-    fn recycle(&mut self, mut payload: Vec<u8>) {
+    /// Take back the buffer of a delivered message. Its bytes are left
+    /// in place: the sender's writer overwrites them as headroom.
+    fn recycle(&mut self, payload: Vec<u8>) {
         if self.spare.len() < SPARE_BUFFERS {
-            payload.clear();
             self.spare.push(payload);
         }
     }
