@@ -8,8 +8,10 @@
 //!   (`Instant::now`, `SystemTime`, `thread_rng`, `env::var`) in
 //!   simulation/TTI code. Virtual time must be the only clock.
 //! * **D2 `nondet-iter`** — no `HashMap`/`HashSet` in per-TTI modules;
-//!   their iteration order is seeded per-process and breaks the
-//!   serial ≡ parallel bit-identity contract. Use `BTreeMap`/`BTreeSet`.
+//!   their iteration order is seeded per-process and would break the
+//!   live determinism contracts: a sharded master bit-identical to one
+//!   shard, and the digests pinned in `tests/determinism.rs`. Use
+//!   `BTreeMap`/`BTreeSet`.
 //! * **P1 `panic`** — no `unwrap`/`expect`/`panic!`-family/indexing in
 //!   the runtime paths of `proto`, `agent`, `controller`: a malformed
 //!   frame or a lost session must surface as `flexran_types::Error`,

@@ -10,9 +10,9 @@
 //!
 //! The histogram is *observability only*: readings come from the wall
 //! clock and therefore differ run to run. Nothing that feeds back into
-//! scheduling may branch on these numbers — the determinism contract
-//! (serial ≡ parallel ≡ sharded) holds because budget state never
-//! influences control decisions.
+//! scheduling may branch on these numbers — the determinism contracts
+//! (serial ≡ sharded, and the pinned digests) hold because budget state
+//! never influences control decisions.
 
 /// Sub-buckets per power of two. 16 keeps the relative quantization
 /// error below ~6% while the whole histogram stays under 4 KiB.

@@ -42,6 +42,12 @@ cargo test --quiet --release -p flexran-stack --lib mac::scheduler::oracle -- --
 echo "==> envelope decoder differential oracle, deep run (4 096 well-formed, re-sealed mutated and corrupted envelopes vs the naive reference decoder)"
 cargo test --quiet --release -p flexran-proto --lib messages::reference -- --ignored
 
+echo "==> encoder differential oracle, deep run (4 096 runs of arbitrary messages through one reused writer, 4 096 writer programs, vs the textbook reference encoder)"
+cargo test --quiet --release -p flexran-proto --lib messages::encode_reference -- --ignored
+
+echo "==> envelope CRC kernels vs the bitwise reference, deep run (every kernel: 256 windows of every length 0-4 096, 4 096 arbitrary inputs)"
+cargo test --quiet --release -p flexran-proto --lib wire:: -- --ignored
+
 echo "==> journal recovery equivalence, deep run (1 024 journaled runs, recovered forest == live forest)"
 cargo test --quiet --release -p flexran --test recovery_equivalence -- --ignored
 
