@@ -138,9 +138,9 @@ const CLMUL_MIN_LEN: usize = 128;
 /// every burst error up to 32 bits — the failure modes a corrupted
 /// control channel actually produces.
 ///
-/// On x86-64 hosts with `pclmulqdq` and `sse4.1`, inputs of
-/// [`CLMUL_MIN_LEN`] bytes or more are folded 64 bytes per step with
-/// carry-less multiplies ([`clmul`]); everything else — other targets,
+/// On x86-64 hosts with `pclmulqdq` and `sse4.1`, inputs of 128 bytes
+/// or more are folded 64 bytes per step with carry-less multiplies;
+/// everything else — other targets,
 /// older CPUs, short inputs and the last 15 bytes — goes through the
 /// slicing-by-16 tables. Both compute the same function.
 pub fn crc32(data: &[u8]) -> u32 {
