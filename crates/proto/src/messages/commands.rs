@@ -40,7 +40,7 @@ pub struct DciPb {
 }
 
 impl DciPb {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.rnti as u64);
         w.uint(2, self.n_prb as u64);
         w.uint(3, self.mcs as u64);
@@ -129,12 +129,12 @@ impl DlSchedulingCommand {
         }
     }
 
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.enb_id.0 as u64);
         w.uint(2, self.cell as u64 + 1);
         w.uint(3, self.target_tti);
         for d in &self.dcis {
-            w.message(4, |m| d.encode(m));
+            w.message(4, |m| d.encode_fields(m));
         }
     }
 
@@ -160,7 +160,7 @@ pub struct UlGrantPb {
 }
 
 impl UlGrantPb {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.rnti as u64);
         w.uint(2, self.n_prb as u64);
         w.uint(3, self.mcs as u64);
@@ -227,12 +227,12 @@ impl UlSchedulingCommand {
         }
     }
 
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.enb_id.0 as u64);
         w.uint(2, self.cell as u64 + 1);
         w.uint(3, self.target_tti);
         for g in &self.grants {
-            w.message(4, |m| g.encode(m));
+            w.message(4, |m| g.encode_fields(m));
         }
     }
 
@@ -256,7 +256,7 @@ pub struct HandoverCommand {
 }
 
 impl HandoverCommand {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.cell as u64 + 1);
         w.uint(2, self.rnti as u64);
         w.uint(3, self.target_enb as u64);
@@ -292,7 +292,7 @@ pub struct ScellCommand {
 }
 
 impl ScellCommand {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.cell as u64 + 1);
         w.uint(2, self.rnti as u64);
         w.uint(3, self.scell as u64 + 1);
@@ -325,7 +325,7 @@ pub struct DrxCommand {
 }
 
 impl DrxCommand {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.cell as u64 + 1);
         w.uint(2, self.rnti as u64);
         w.uint(3, self.cycle_ttis as u64);
@@ -391,7 +391,7 @@ impl AbsCommand {
         Some(p)
     }
 
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.cell as u64 + 1);
         w.bytes_field(2, &self.pattern);
     }
@@ -454,7 +454,7 @@ mod tests {
         // Fig. 7b regime: <4 Mb/s at ~10 DCIs/TTI → ~30-50 B per DCI.
         let cmd = DlSchedulingCommand::from_decision(EnbId(1), &sample_decision());
         let mut w = WireWriter::new();
-        cmd.encode(&mut w);
+        cmd.encode_fields(&mut w);
         let per_dci = (w.len() as f64 - 8.0) / 2.0;
         assert!(
             (20.0..=60.0).contains(&per_dci),

@@ -27,7 +27,7 @@ pub struct ConfigRequest {
 }
 
 impl ConfigRequest {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(
             1,
             match self.scope {
@@ -116,7 +116,7 @@ impl CellConfigPb {
         Ok(cfg)
     }
 
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.cell_id as u64 + 1);
         w.uint(2, self.band as u64);
         w.uint(3, self.fdd as u64);
@@ -194,7 +194,7 @@ impl UeConfigPb {
         })
     }
 
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.rnti as u64);
         w.uint(2, self.pcell as u64 + 1);
         w.uint(3, self.transmission_mode as u64);
@@ -234,13 +234,13 @@ pub struct ConfigReply {
 }
 
 impl ConfigReply {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.enb_id.0 as u64);
         for c in &self.cells {
-            w.message(2, |m| c.encode(m));
+            w.message(2, |m| c.encode_fields(m));
         }
         for u in &self.ues {
-            w.message(3, |m| u.encode(m));
+            w.message(3, |m| u.encode_fields(m));
         }
     }
 
@@ -311,7 +311,7 @@ impl ConfigBundlePb {
         self.signature != 0 && self.signature == self.compute_signature()
     }
 
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.version);
         w.string(2, &self.policy_yaml);
         w.string(3, &self.vsf_key);
@@ -344,9 +344,9 @@ pub struct ConfigBundlePush {
 }
 
 impl ConfigBundlePush {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.enb_id.0 as u64);
-        w.message(2, |m| self.bundle.encode(m));
+        w.message(2, |m| self.bundle.encode_fields(m));
     }
 
     pub(crate) fn decode(data: &[u8]) -> Result<ConfigBundlePush> {
@@ -376,7 +376,7 @@ pub struct ConfigBundleAck {
 }
 
 impl ConfigBundleAck {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.enb_id.0 as u64);
         w.uint(2, self.version);
         w.uint(3, self.signature);
@@ -475,7 +475,7 @@ mod tests {
         cfg.tx_power = Dbm(-10.5);
         let pb = CellConfigPb::from_config(&cfg);
         let mut w = WireWriter::new();
-        pb.encode(&mut w);
+        pb.encode_fields(&mut w);
         let got = CellConfigPb::decode(&w.finish()).unwrap();
         assert_eq!(got.tx_power_cdbm, -1050);
         assert_eq!(got.to_config().unwrap().tx_power, Dbm(-10.5));

@@ -76,7 +76,7 @@ impl VsfPush {
         h.finish()
     }
 
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.string(1, &self.module);
         w.string(2, &self.vsf);
         w.string(3, &self.name);
@@ -127,7 +127,7 @@ pub struct PolicyReconfiguration {
 }
 
 impl PolicyReconfiguration {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.string(1, &self.yaml);
     }
 
@@ -153,7 +153,7 @@ pub struct DelegationAck {
 }
 
 impl DelegationAck {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.xid as u64);
         w.uint(2, self.ok as u64);
         w.string(3, &self.error);

@@ -23,7 +23,7 @@ pub struct SubframeTrigger {
 }
 
 impl SubframeTrigger {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.enb_id.0 as u64);
         // SFN and subframe packed as in the OAI agent (sfn*16 + sf).
         w.uint(2, (self.sfn as u64) << 4 | self.sf as u64);
@@ -199,7 +199,7 @@ impl EventNotification {
             .collect()
     }
 
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.enb_id.0 as u64);
         w.uint(2, self.kind.to_u64());
         w.uint(3, self.cell as u64 + 1);

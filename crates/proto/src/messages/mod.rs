@@ -73,7 +73,7 @@ impl Header {
         }
     }
 
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.version as u64);
         w.uint(2, self.xid as u64);
     }
@@ -102,7 +102,7 @@ pub struct Hello {
 }
 
 impl Hello {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.enb_id.0 as u64);
         w.uint(2, self.n_cells as u64);
         for c in &self.capabilities {
@@ -136,7 +136,7 @@ pub struct Echo {
 }
 
 impl Echo {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.timestamp_us);
         w.bytes_field(2, &self.payload);
     }
@@ -174,7 +174,7 @@ pub struct Heartbeat {
 }
 
 impl Heartbeat {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.seq);
         w.uint(2, self.tti);
         w.uint(3, self.applied_config);
@@ -210,7 +210,7 @@ pub struct ResyncRequest {
 }
 
 impl ResyncRequest {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.enb_id.0 as u64);
         w.uint(2, self.since_tti);
     }
@@ -318,31 +318,35 @@ impl FlexranMessage {
     /// integrity trailer covers the appended envelope only.
     pub fn encode_append(&self, header: Header, w: &mut WireWriter) {
         let start = w.len();
-        w.message(F_HEADER, |m| header.encode(m));
+        w.message(F_HEADER, |m| header.encode_fields(m));
         match self {
-            FlexranMessage::Hello(b) => w.message(F_HELLO, |m| b.encode(m)),
-            FlexranMessage::EchoRequest(b) => w.message(F_ECHO_REQ, |m| b.encode(m)),
-            FlexranMessage::EchoReply(b) => w.message(F_ECHO_REP, |m| b.encode(m)),
-            FlexranMessage::Heartbeat(b) => w.message(F_HEARTBEAT, |m| b.encode(m)),
-            FlexranMessage::HeartbeatAck(b) => w.message(F_HEARTBEAT_ACK, |m| b.encode(m)),
-            FlexranMessage::ConfigRequest(b) => w.message(F_CONFIG_REQ, |m| b.encode(m)),
-            FlexranMessage::ConfigReply(b) => w.message(F_CONFIG_REP, |m| b.encode(m)),
-            FlexranMessage::StatsRequest(b) => w.message(F_STATS_REQ, |m| b.encode(m)),
-            FlexranMessage::SubframeTrigger(b) => w.message(F_SF_TRIGGER, |m| b.encode(m)),
-            FlexranMessage::StatsReply(b) => w.message(F_STATS_REP, |m| b.encode(m)),
-            FlexranMessage::EventNotification(b) => w.message(F_EVENT, |m| b.encode(m)),
-            FlexranMessage::DlSchedulingCommand(b) => w.message(F_DL_SCHED, |m| b.encode(m)),
-            FlexranMessage::UlSchedulingCommand(b) => w.message(F_UL_SCHED, |m| b.encode(m)),
-            FlexranMessage::HandoverCommand(b) => w.message(F_HANDOVER, |m| b.encode(m)),
-            FlexranMessage::DrxCommand(b) => w.message(F_DRX, |m| b.encode(m)),
-            FlexranMessage::AbsCommand(b) => w.message(F_ABS, |m| b.encode(m)),
-            FlexranMessage::ScellCommand(b) => w.message(F_SCELL, |m| b.encode(m)),
-            FlexranMessage::VsfPush(b) => w.message(F_VSF_PUSH, |m| b.encode(m)),
-            FlexranMessage::PolicyReconfiguration(b) => w.message(F_POLICY, |m| b.encode(m)),
-            FlexranMessage::DelegationAck(b) => w.message(F_DELEG_ACK, |m| b.encode(m)),
-            FlexranMessage::ResyncRequest(b) => w.message(F_RESYNC_REQ, |m| b.encode(m)),
-            FlexranMessage::ConfigBundlePush(b) => w.message(F_CONFIG_BUNDLE_PUSH, |m| b.encode(m)),
-            FlexranMessage::ConfigBundleAck(b) => w.message(F_CONFIG_BUNDLE_ACK, |m| b.encode(m)),
+            FlexranMessage::Hello(b) => w.message(F_HELLO, |m| b.encode_fields(m)),
+            FlexranMessage::EchoRequest(b) => w.message(F_ECHO_REQ, |m| b.encode_fields(m)),
+            FlexranMessage::EchoReply(b) => w.message(F_ECHO_REP, |m| b.encode_fields(m)),
+            FlexranMessage::Heartbeat(b) => w.message(F_HEARTBEAT, |m| b.encode_fields(m)),
+            FlexranMessage::HeartbeatAck(b) => w.message(F_HEARTBEAT_ACK, |m| b.encode_fields(m)),
+            FlexranMessage::ConfigRequest(b) => w.message(F_CONFIG_REQ, |m| b.encode_fields(m)),
+            FlexranMessage::ConfigReply(b) => w.message(F_CONFIG_REP, |m| b.encode_fields(m)),
+            FlexranMessage::StatsRequest(b) => w.message(F_STATS_REQ, |m| b.encode_fields(m)),
+            FlexranMessage::SubframeTrigger(b) => w.message(F_SF_TRIGGER, |m| b.encode_fields(m)),
+            FlexranMessage::StatsReply(b) => w.message(F_STATS_REP, |m| b.encode_fields(m)),
+            FlexranMessage::EventNotification(b) => w.message(F_EVENT, |m| b.encode_fields(m)),
+            FlexranMessage::DlSchedulingCommand(b) => w.message(F_DL_SCHED, |m| b.encode_fields(m)),
+            FlexranMessage::UlSchedulingCommand(b) => w.message(F_UL_SCHED, |m| b.encode_fields(m)),
+            FlexranMessage::HandoverCommand(b) => w.message(F_HANDOVER, |m| b.encode_fields(m)),
+            FlexranMessage::DrxCommand(b) => w.message(F_DRX, |m| b.encode_fields(m)),
+            FlexranMessage::AbsCommand(b) => w.message(F_ABS, |m| b.encode_fields(m)),
+            FlexranMessage::ScellCommand(b) => w.message(F_SCELL, |m| b.encode_fields(m)),
+            FlexranMessage::VsfPush(b) => w.message(F_VSF_PUSH, |m| b.encode_fields(m)),
+            FlexranMessage::PolicyReconfiguration(b) => w.message(F_POLICY, |m| b.encode_fields(m)),
+            FlexranMessage::DelegationAck(b) => w.message(F_DELEG_ACK, |m| b.encode_fields(m)),
+            FlexranMessage::ResyncRequest(b) => w.message(F_RESYNC_REQ, |m| b.encode_fields(m)),
+            FlexranMessage::ConfigBundlePush(b) => {
+                w.message(F_CONFIG_BUNDLE_PUSH, |m| b.encode_fields(m))
+            }
+            FlexranMessage::ConfigBundleAck(b) => {
+                w.message(F_CONFIG_BUNDLE_ACK, |m| b.encode_fields(m))
+            }
         }
         let crc = crc32(w.as_slice().get(start..).unwrap_or(&[]));
         w.fixed32_always(F_INTEGRITY, crc);
@@ -597,15 +601,15 @@ mod tests {
     fn envelope_requires_header_and_body() {
         // Body-only.
         let mut w = WireWriter::new();
-        w.message(F_HELLO, |m| Hello::default().encode(m));
+        w.message(F_HELLO, |m| Hello::default().encode_fields(m));
         assert!(FlexranMessage::decode(&sealed(w)).is_err());
         // Header-only.
         let mut w = WireWriter::new();
-        w.message(F_HEADER, |m| Header::default().encode(m));
+        w.message(F_HEADER, |m| Header::default().encode_fields(m));
         assert!(FlexranMessage::decode(&sealed(w)).is_err());
         // Unknown envelope field.
         let mut w = WireWriter::new();
-        w.message(F_HEADER, |m| Header::default().encode(m));
+        w.message(F_HEADER, |m| Header::default().encode_fields(m));
         w.message(200, |m| m.uint(1, 1));
         assert!(FlexranMessage::decode(&sealed(w)).is_err());
     }

@@ -69,7 +69,7 @@ pub struct StatsRequest {
 }
 
 impl StatsRequest {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         let (ty, period) = match self.config.report_type {
             ReportType::OneOff => (0u64, 0u64),
             ReportType::Periodic { period } => (1, period as u64),
@@ -116,7 +116,7 @@ pub struct RlcReport {
 }
 
 impl RlcReport {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.lcid as u64 + 1);
         w.uint(2, self.tx_queue_bytes);
         w.uint(3, self.hol_delay_ms);
@@ -211,7 +211,7 @@ pub struct UeReport {
 }
 
 impl UeReport {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.rnti as u64);
         w.uint(2, self.connected as u64);
         w.uint(3, self.slice as u64);
@@ -221,7 +221,7 @@ impl UeReport {
         w.packed_uints(7, &self.bsr);
         w.sint(8, self.phr_db);
         for rlc in &self.rlc {
-            w.message(9, |m| rlc.encode(m));
+            w.message(9, |m| rlc.encode_fields(m));
         }
         w.uint(10, self.pending_mac_ces as u64);
         w.packed_uints(11, &self.harq_states);
@@ -391,7 +391,7 @@ pub struct CellReport {
 }
 
 impl CellReport {
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.cell_id as u64 + 1);
         w.sint(2, self.noise_interference_decidbm);
         w.uint(3, self.dl_prbs_used_total);
@@ -432,17 +432,17 @@ impl StatsReply {
     /// without cloning or re-allocating the reply.
     pub fn encode_body_into(&self, w: &mut WireWriter) {
         w.clear();
-        self.encode(w);
+        self.encode_fields(w);
     }
 
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.uint(1, self.enb_id.0 as u64);
         w.uint(2, self.tti);
         for c in &self.cells {
-            w.message(3, |m| c.encode(m));
+            w.message(3, |m| c.encode_fields(m));
         }
         for u in &self.ues {
-            w.message(4, |m| u.encode(m));
+            w.message(4, |m| u.encode_fields(m));
         }
     }
 
@@ -613,7 +613,7 @@ mod tests {
             ReportFlags::ALL,
         );
         let mut w = WireWriter::new();
-        rep.encode(&mut w);
+        rep.encode_fields(&mut w);
         let sz = w.len();
         assert!(
             (180..=350).contains(&sz),
@@ -635,9 +635,9 @@ mod tests {
         // Smaller flag set → smaller wire size.
         let mut w_full = WireWriter::new();
         UeReport::from_stats(&s, flexran_types::ids::CellId(0), ReportFlags::ALL)
-            .encode(&mut w_full);
+            .encode_fields(&mut w_full);
         let mut w_cqi = WireWriter::new();
-        cqi_only.encode(&mut w_cqi);
+        cqi_only.encode_fields(&mut w_cqi);
         assert!(w_cqi.len() < w_full.len());
     }
 

@@ -464,7 +464,6 @@ impl Default for WireWriter {
 
 impl WireWriter {
     pub fn new() -> Self {
-        // lint:allow(alloc-reach) a fresh writer's buffer; per-TTI paths keep theirs (reached through the name-based `.encode` edge to `FlexranMessage::encode`)
         WireWriter::from_vec(Vec::with_capacity(64))
     }
 
