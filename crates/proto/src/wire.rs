@@ -140,9 +140,9 @@ const CLMUL_MIN_LEN: usize = 128;
 ///
 /// On x86-64 hosts with `pclmulqdq` and `sse4.1`, inputs of 128 bytes
 /// or more are folded 64 bytes per step with carry-less multiplies;
-/// everything else — other targets,
-/// older CPUs, short inputs and the last 15 bytes — goes through the
-/// slicing-by-16 tables. Both compute the same function.
+/// everything else — other targets, older CPUs, short inputs and the
+/// last 15 bytes — goes through the slicing-by-16 tables. Both compute
+/// the same function.
 pub fn crc32(data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     // lint:alloc-free-callee a constant `false` outside tests
@@ -205,8 +205,8 @@ mod clmul_dispatch {
 /// (Intel, 2009), in its bit-reflected form. Four 128-bit lanes fold
 /// 64 input bytes per step, the lanes fold into one, that one folds in
 /// any further 16-byte blocks, and a Barrett reduction takes the last
-/// 128 bits to the 32-bit register. Every load is `u64::from_le_bytes`,
-/// so the module needs no pointer and no `unsafe`.
+/// 128 bits to the 32-bit register. Every load is a `from_le_bytes` of
+/// a 16-byte array, so the module needs no pointer and no `unsafe`.
 #[cfg(target_arch = "x86_64")]
 mod clmul {
     use std::arch::x86_64::{
