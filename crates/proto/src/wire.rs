@@ -1360,6 +1360,21 @@ mod tests {
             prop_assert_eq!(n, uvarint_len(v));
         }
 
+        /// The CRC kernels against the bit-at-a-time reference: every
+        /// window of 0..=300 bytes — up to eighteen 16-byte steps, then
+        /// every combination of 8-byte and 1-byte tails — at a drawn
+        /// alignment.
+        #[test]
+        fn crc32_matches_bitwise_reference(
+            data in proptest::collection::vec(any::<u8>(), 332..333),
+            offset in 0usize..32,
+        ) {
+            for len in 0..=300 {
+                let window = &data[offset..offset + len];
+                prop_assert_eq!(crc32(window), crc32_bitwise(window), "len {}", len);
+            }
+        }
+
         /// Fast paths against the plain loop at every 2^(7k) boundary —
         /// where the encoded length changes.
         #[test]
